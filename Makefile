@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal
+.PHONY: build test vet fmt-check race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: fails, listing the files, if any Go file outside the
+# hidden build directories is not gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(find . -name '*.go' -not -path './.*')); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -57,14 +63,14 @@ profile:
 	$(GO) run ./cmd/obsprofile -validate-trace /tmp/profile-out/trace.json /tmp/profile-out/manifest.json
 	@echo "trace: /tmp/profile-out/trace.json (load in ui.perfetto.dev)"
 
-# race-obs runs first so concurrency regressions in the observability and
-# parallel substrates fail fast, before the full race suite; perf-gate is
-# pure file analysis; check-scenarios proves every named scenario still
+# fmt-check fails on any file gofmt would change; race-obs runs first so
+# concurrency regressions in the observability and parallel substrates fail
+# fast, before the full race suite; perf-gate is pure file analysis; check-scenarios proves every named scenario still
 # reproduces its committed golden manifest; check-shards proves -shards is
 # output-invariant and the huge tier generates and streams; check-lineage
 # proves the provenance capture reproduces its committed digest and answers
 # evidence queries.
-check: build vet race-obs race perf-gate check-scenarios check-shards check-lineage check-temporal
+check: build fmt-check vet race-obs race perf-gate check-scenarios check-shards check-lineage check-temporal
 
 # Full reproduction report with provenance manifest.
 report:

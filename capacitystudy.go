@@ -61,22 +61,42 @@ func (p *Pipeline) CapacityStudy() (*CapacityResult, error) {
 }
 
 // CapacityStudyContext is CapacityStudy with cancellation; the diurnal
-// sweep serves its 24 hours across p.Workers goroutines.
+// sweep serves its 24 hours across p.Workers goroutines. It runs once per
+// pipeline; later calls return the same result.
 func (p *Pipeline) CapacityStudyContext(ctx context.Context) (*CapacityResult, error) {
+	return cached(p, "capacity", func() (*CapacityResult, error) { return p.capacityStudy(ctx) })
+}
+
+// capacityModel returns the 2023 deployment and its capacity model. The
+// model is built once per pipeline and shared by every study that serves
+// traffic on it: capacity.Build's result is read-only (WithCuts copies), so
+// no study can leak its scenario into another's. stage names the study
+// whose span records the one build.
+func (p *Pipeline) capacityModel(stage string) (*hypergiant.Deployment, *capacity.Model, error) {
+	_, d, err := p.deployment(hypergiant.Epoch2023)
+	if err != nil {
+		return nil, nil, err
+	}
+	m, err := cached(p, "capacity-model/2023", func() (*capacity.Model, error) {
+		sp := p.span(stage + "/build-model")
+		defer sp.End()
+		return capacity.Build(d, capacity.ConfigFromScenario(p.spec(), p.Seed)), nil
+	})
+	return d, m, err
+}
+
+func (p *Pipeline) capacityStudy(ctx context.Context) (*CapacityResult, error) {
 	root := p.span("capacity-study")
 	defer root.End()
-	_, d, err := p.deployment(hypergiant.Epoch2023)
+	d, m, err := p.capacityModel("capacity-study")
 	if err != nil {
 		return nil, err
 	}
-	sp := p.span("capacity-study/build-model")
-	m := capacity.Build(d, capacity.ConfigFromScenario(p.spec(), p.Seed))
-	sp.End()
 	out := &CapacityResult{}
 
 	// COVID replay per hypergiant; the paper's evidence is the Netflix +58%
 	// lockdown spike.
-	sp = p.span("capacity-study/covid-replay")
+	sp := p.span("capacity-study/covid-replay")
 	for _, hg := range traffic.All {
 		rep := capacity.CovidReplay(m, hg, 1.58)
 		out.Covid = append(out.Covid, CovidRow{

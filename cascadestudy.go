@@ -5,9 +5,7 @@ import (
 	"fmt"
 	"strings"
 
-	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/cascade"
-	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/session"
 	"offnetrisk/internal/traffic"
@@ -58,17 +56,20 @@ func (p *Pipeline) CascadeStudy() (*CascadeResult, error) {
 }
 
 // CascadeStudyContext is CascadeStudy with cancellation; the facility sweep
-// and the QoE session simulation fan out across p.Workers goroutines.
+// and the QoE session simulation fan out across p.Workers goroutines. It
+// runs once per pipeline; later calls return the same result.
 func (p *Pipeline) CascadeStudyContext(ctx context.Context) (*CascadeResult, error) {
+	return cached(p, "cascade", func() (*CascadeResult, error) { return p.cascadeStudy(ctx) })
+}
+
+func (p *Pipeline) cascadeStudy(ctx context.Context) (*CascadeResult, error) {
 	root := p.span("cascade-study")
 	defer root.End()
-	w, d, err := p.deployment(hypergiant.Epoch2023)
+	d, m, err := p.capacityModel("cascade-study")
 	if err != nil {
 		return nil, err
 	}
-	sp := p.span("cascade-study/build-model")
-	m := capacity.Build(d, capacity.ConfigFromScenario(p.spec(), p.Seed))
-	sp.End()
+	w := d.World
 	hosts := d.HostingISPs()
 	sctx, sp := p.spanCtx(ctx, "cascade-study/facility-sweep")
 	st, err := cascade.SweepContext(sctx, m, d, hosts, p.Workers)
@@ -168,11 +169,11 @@ func (p *Pipeline) PerfectStormContext(ctx context.Context, failures int, surge 
 	root.SetAttr("failures", failures)
 	root.SetAttr("surge", surge)
 	defer root.End()
-	w, d, err := p.deployment(hypergiant.Epoch2023)
+	d, m, err := p.capacityModel("perfect-storm")
 	if err != nil {
 		return nil, err
 	}
-	m := capacity.Build(d, capacity.ConfigFromScenario(p.spec(), p.Seed))
+	w := d.World
 	sc := cascade.DefaultScenario()
 	sc.Surge = map[traffic.HG]float64{
 		traffic.Google: surge, traffic.Netflix: surge,

@@ -79,6 +79,10 @@ type ColocationResult struct {
 	// a single site (§4.1).
 	SingleSitePct map[string]map[float64]float64
 	Validation    []ValidationRow
+	// Reachability is the OPTICS reachability plot of the busiest analyzed
+	// ISP (most measured offnets, lowest ASN on ties): reachability
+	// distances in processing order. Nil when no ISP has two measurements.
+	Reachability []float64
 	// Campaign accounting (Appendix A).
 	Unresponsive, Impossible, MeasuredISPs int
 }
@@ -91,8 +95,15 @@ func (p *Pipeline) Colocation() (*ColocationResult, error) {
 }
 
 // ColocationContext is Colocation with cancellation; the ping campaign and
-// the per-ISP OPTICS clustering fan out across p.Workers goroutines.
+// the per-ISP OPTICS clustering fan out across p.Workers goroutines. It runs
+// once per pipeline; later calls return the same result. The campaign is
+// not kept: only the aggregates and the busiest ISP's reachability plot
+// outlive the call.
 func (p *Pipeline) ColocationContext(ctx context.Context) (*ColocationResult, error) {
+	return cached(p, "colocation", func() (*ColocationResult, error) { return p.colocation(ctx) })
+}
+
+func (p *Pipeline) colocation(ctx context.Context) (*ColocationResult, error) {
 	root := p.span("colocation")
 	defer root.End()
 	w, d, err := p.deployment(hypergiant.Epoch2023)
@@ -130,6 +141,7 @@ func (p *Pipeline) ColocationContext(ctx context.Context) (*ColocationResult, er
 		Unresponsive:   campaign.Unresponsive,
 		Impossible:     campaign.Impossible,
 		MeasuredISPs:   campaign.MeasuredISPs,
+		Reachability:   analysis.Reach,
 	}
 
 	for _, row := range analysis.Table2() {

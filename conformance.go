@@ -9,17 +9,27 @@ import (
 	sweeppkg "offnetrisk/internal/sweep"
 )
 
-// Conformance runs every experiment and scores the outcome against the
-// paper's reported shapes, one check per claim. The bands accept the
-// synthetic substrate's variance while rejecting direction or ordering
-// violations — the standard DESIGN.md §4 sets for "reproduced".
+// The sensitivity sweeps' probe points: the suite checks the direction of
+// each effect between a low and a high setting.
+var (
+	propensityProbe = []float64{0.4, 0.9}
+	headroomProbe   = []float64{1.05, 2.0}
+)
+
+// Conformance scores every experiment's result against the paper's
+// reported shapes, one check per claim. The bands accept the synthetic
+// substrate's variance while rejecting direction or ordering violations —
+// the standard DESIGN.md §4 sets for "reproduced".
 func (p *Pipeline) Conformance() (*report.Suite, error) {
 	return p.ConformanceContext(context.Background())
 }
 
-// ConformanceContext is Conformance with cancellation, running every
-// sub-experiment through its context-aware variant so a SIGINT aborts the
-// whole suite promptly.
+// ConformanceContext is Conformance with cancellation. It takes each
+// experiment's result from the pipeline's result cache, so after a run that
+// already produced them it measures nothing itself: its only own work is
+// the two tiny-world sensitivity sweeps. Experiments not yet run are
+// computed (and cached) through their context-aware variants, so a SIGINT
+// aborts the suite promptly.
 func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error) {
 	root := p.span("conformance")
 	defer root.End()
@@ -163,12 +173,12 @@ func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error
 	// sweep at large scale would dominate the suite's runtime.
 	sp := p.span("conformance/sensitivity-sweeps")
 	defer sp.End()
-	if prop, err := sweeppkg.ColocationPropensity(p.Seed, []float64{0.4, 0.9}); err == nil && len(prop.Points) == 2 {
+	if prop, err := sweeppkg.ColocationPropensity(p.Seed, propensityProbe); err == nil && len(prop.Points) == 2 {
 		s.AddBool("Sweep/propensity-direction",
 			"more colocation propensity → more correlated failures",
 			prop.Points[1].Metrics["hg-per-failure"] > prop.Points[0].Metrics["hg-per-failure"])
 	}
-	if hr, err := sweeppkg.SharedHeadroom(p.Seed, []float64{1.05, 2.0}); err == nil && len(hr.Points) == 2 {
+	if hr, err := sweeppkg.SharedHeadroom(p.Seed, headroomProbe); err == nil && len(hr.Points) == 2 {
 		s.AddBool("Sweep/headroom-direction",
 			"more shared headroom → fewer congesting scenarios",
 			hr.Points[1].Metrics["congesting-frac"] <= hr.Points[0].Metrics["congesting-frac"])

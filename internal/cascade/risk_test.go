@@ -1,6 +1,8 @@
 package cascade
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"offnetrisk/internal/capacity"
@@ -101,5 +103,30 @@ func TestDecolocateSpreadsWherePossible(t *testing.T) {
 	}
 	if !improved {
 		t.Error("decolocation never reduced any ISP's top-facility hypergiant count")
+	}
+}
+
+// TestMonteCarloBitIdentical: two same-seed runs in one process agree on
+// every users-affected value to the last bit. The direct and collateral
+// user counts sum ISP populations; summed in map order they drifted in the
+// last bits between calls.
+func TestMonteCarloBitIdentical(t *testing.T) {
+	d, m := setup(t, 3)
+	ctx := context.Background()
+	a, err := MonteCarloContext(ctx, m, d, 4, 200, 11, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := MonteCarloContext(ctx, m, d, 4, 200, 11, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(a.MeanAffected) != math.Float64bits(b.MeanAffected) {
+		t.Fatalf("mean users affected %v vs %v", a.MeanAffected, b.MeanAffected)
+	}
+	for i := range a.Curve {
+		if math.Float64bits(a.Curve[i].Users) != math.Float64bits(b.Curve[i].Users) {
+			t.Fatalf("trial %d of the sorted curve: %v vs %v users affected", i, a.Curve[i].Users, b.Curve[i].Users)
+		}
 	}
 }

@@ -111,6 +111,11 @@ type ISPResult struct {
 type Analysis struct {
 	Xis    []float64
 	PerISP map[inet.ASN]*ISPResult
+	// Reach is the OPTICS reachability plot of the busiest ISP — the one
+	// with the most measured offnets, lowest ASN on ties: reachability
+	// distances in processing order, the raw material the ξ extraction
+	// works on. Nil when no ISP has two measurements.
+	Reach []float64
 }
 
 // Analyze clusters every usable ISP at each ξ. MinPts is fixed at the
@@ -152,6 +157,12 @@ func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis
 		asns = append(asns, as)
 	}
 	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	busiest := -1
+	for i, as := range asns {
+		if n := len(c.ByISP[as]); n >= 2 && (busiest < 0 || n > len(c.ByISP[asns[busiest]])) {
+			busiest = i
+		}
+	}
 
 	results, err := par.MapLocal(ctx, len(asns), par.Options{Workers: workers, Name: "optics-cluster"},
 		func() *ispScratch { return &ispScratch{} },
@@ -169,6 +180,11 @@ func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis
 			}
 			res.HGs = hostedHGs(ms)
 			ord := sc.opt.Run(len(ms), sc.dm.At, 2, math.Inf(1))
+			if i == busiest {
+				// ord aliases the worker's scratch; only this task writes
+				// a.Reach, and MapLocal returns after every task ends.
+				a.Reach = append([]float64(nil), ord.Reach...)
+			}
 			for _, xi := range xis {
 				labels := ord.Labels(ord.ExtractXi(xi, 2))
 				res.PerXi[xi] = summarize(ms, labels, mix)

@@ -56,6 +56,10 @@ const (
 	snapVersion     = 1
 	snapMaxStrLen   = 1 << 15
 	snapMaxEntities = 1 << 27 // sanity bound on section counts
+	// snapMaxHint caps every capacity hint taken from a count in the file:
+	// a corrupt count must cost an error, not its allocation. Longer
+	// sections grow through append and map growth.
+	snapMaxHint = 1 << 12
 )
 
 // binWriter wraps a buffered writer with sticky-error little-endian
@@ -136,16 +140,30 @@ func (b *binReader) str() string {
 func (b *binReader) prefix() netaddr.Prefix {
 	addr := netaddr.Addr(b.u32())
 	bits := int(b.u8())
+	if b.err == nil && bits > 32 {
+		b.err = fmt.Errorf("%w: prefix length %d", ErrSnapshotCorrupt, bits)
+	}
+	if b.err != nil {
+		return netaddr.Prefix{}
+	}
 	return netaddr.Prefix{Addr: addr, Bits: bits}
 }
 
+// count reads a section length. After an error it returns 0: the bytes
+// it would read are stale, and a stale count would size the next loop.
 func (b *binReader) count() int {
 	n := b.u32()
 	if b.err == nil && n > snapMaxEntities {
 		b.err = fmt.Errorf("%w: implausible count %d", ErrSnapshotCorrupt, n)
 	}
+	if b.err != nil {
+		return 0
+	}
 	return int(n)
 }
+
+// hint is a count's preallocation size, clamped to snapMaxHint.
+func hint(n int) int { return min(n, snapMaxHint) }
 
 // snapshotConfig reduces a Config to the fields that determine the world's
 // bytes: equal snapshotConfigs generate byte-identical worlds. Shards and
@@ -335,14 +353,14 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 
 	w := &World{
 		Seed:       gotCfg.Seed,
-		ISPs:       make(map[ASN]*ISP, nISPs),
-		Facilities: make(map[FacilityID]*Facility, nFacs),
-		IXPs:       make(map[IXPID]*IXP, nIXPs),
-		hostNext:   make(map[ASN]uint64, nHosts),
+		ISPs:       make(map[ASN]*ISP, hint(nISPs)),
+		Facilities: make(map[FacilityID]*Facility, hint(nFacs)),
+		IXPs:       make(map[IXPID]*IXP, hint(nIXPs)),
+		hostNext:   make(map[ASN]uint64, hint(nHosts)),
 	}
-	w.isps.Reserve(nISPs)
-	w.facs.Reserve(nFacs)
-	w.owners = make([]ownerSpan, 0, nISPs)
+	w.isps.Reserve(hint(nISPs))
+	w.facs.Reserve(hint(nFacs))
+	w.owners = make([]ownerSpan, 0, hint(nISPs))
 
 	metroCache := make(map[string]geo.Metro, 128)
 	metro := func(code string) (geo.Metro, error) {
@@ -366,7 +384,7 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 		isp.Tier = Tier(b.u8())
 		isp.Users = b.f64()
 		if n := b.count(); n > 0 {
-			isp.Metros = make([]geo.Metro, 0, n)
+			isp.Metros = make([]geo.Metro, 0, hint(n))
 			for j := 0; j < n && b.err == nil; j++ {
 				m, err := metro(b.str())
 				if err != nil {
@@ -377,7 +395,7 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 			}
 		}
 		if n := b.count(); n > 0 {
-			isp.Prefixes = make([]netaddr.Prefix, 0, n)
+			isp.Prefixes = make([]netaddr.Prefix, 0, hint(n))
 			for j := 0; j < n && b.err == nil; j++ {
 				p := b.prefix()
 				if p != p.Canonical() {
@@ -396,20 +414,20 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 			}
 		}
 		if n := b.count(); n > 0 {
-			isp.Providers = make([]ASN, 0, n)
-			for j := 0; j < n; j++ {
+			isp.Providers = make([]ASN, 0, hint(n))
+			for j := 0; j < n && b.err == nil; j++ {
 				isp.Providers = append(isp.Providers, ASN(b.u32()))
 			}
 		}
 		if n := b.count(); n > 0 {
-			isp.IXPs = make([]IXPID, 0, n)
-			for j := 0; j < n; j++ {
+			isp.IXPs = make([]IXPID, 0, hint(n))
+			for j := 0; j < n && b.err == nil; j++ {
 				isp.IXPs = append(isp.IXPs, IXPID(b.u32()))
 			}
 		}
 		if n := b.count(); n > 0 {
-			isp.Facilities = make([]FacilityID, 0, n)
-			for j := 0; j < n; j++ {
+			isp.Facilities = make([]FacilityID, 0, hint(n))
+			for j := 0; j < n && b.err == nil; j++ {
 				isp.Facilities = append(isp.Facilities, FacilityID(b.u32()))
 			}
 		}
@@ -441,7 +459,7 @@ func ReadWorld(rd io.Reader, want Config, scenarioHash string) (*World, error) {
 		x.Fabric = b.prefix()
 		x.CapacityGbps = b.f64()
 		n := b.count()
-		x.MemberAddr = make(map[ASN]netaddr.Addr, n)
+		x.MemberAddr = make(map[ASN]netaddr.Addr, hint(n))
 		for j := 0; j < n && b.err == nil; j++ {
 			as := ASN(b.u32())
 			x.MemberAddr[as] = netaddr.Addr(b.u32())

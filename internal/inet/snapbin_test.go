@@ -122,6 +122,38 @@ func TestSnapshotRejection(t *testing.T) {
 			t.Fatalf("got %v, want ErrSnapshotVersion", err)
 		}
 	})
+	t.Run("flipped-count", func(t *testing.T) {
+		// Without a scenario hash, byte 80 is the high byte of the first
+		// ISP's name length: flipping it misaligns the reader, so later
+		// counts are garbage. Before count hints were clamped, bit 2 made
+		// the reader preallocate ~71 GB of metros and the process died with
+		// "runtime: out of memory".
+		var buf bytes.Buffer
+		if err := WriteWorld(&buf, w, cfg, ""); err != nil {
+			t.Fatal(err)
+		}
+		for bit := 0; bit < 8; bit++ {
+			bad := bytes.Clone(buf.Bytes())
+			bad[80] ^= 1 << bit
+			if _, err := ReadWorld(bytes.NewReader(bad), cfg, ""); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("bit %d flipped: got %v, want ErrSnapshotCorrupt", bit, err)
+			}
+		}
+	})
+	t.Run("flipped-bytes", func(t *testing.T) {
+		// No corrupt byte may crash the reader: each flip decodes to a
+		// world or fails with an error. Every byte of the header and the
+		// first records is flipped, then a sample of the rest.
+		bad := bytes.Clone(data)
+		for i := range bad {
+			if i >= 512 && i%61 != 0 {
+				continue
+			}
+			bad[i] ^= 0xFF
+			ReadWorld(bytes.NewReader(bad), cfg, "hash-abc")
+			bad[i] ^= 0xFF
+		}
+	})
 	t.Run("scenario-hash-mismatch", func(t *testing.T) {
 		if _, err := ReadWorldFile(path, cfg, "hash-other"); !errors.Is(err, ErrSnapshotMismatch) {
 			t.Fatalf("got %v, want ErrSnapshotMismatch", err)

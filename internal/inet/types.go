@@ -287,13 +287,19 @@ func (w *World) IXPOf(addr netaddr.Addr) (*IXP, ASN, bool) {
 	return x, 0, false
 }
 
-// UsersInISPs sums the user population of the given set of ASNs.
+// UsersInISPs sums the user population of the given set of ASNs, in
+// ascending ASN order: float addition is not associative, and summing in
+// map order would make equal sets differ in the last bits from call to call.
 func (w *World) UsersInISPs(set map[ASN]bool) float64 {
-	var total float64
+	asns := make([]ASN, 0, len(set))
 	for as, in := range set {
-		if !in {
-			continue
+		if in {
+			asns = append(asns, as)
 		}
+	}
+	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
+	var total float64
+	for _, as := range asns {
 		if isp, ok := w.ISPs[as]; ok {
 			total += isp.Users
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/steer"
@@ -37,8 +36,13 @@ func (p *Pipeline) MappingStudy() (*MappingResult, error) {
 }
 
 // MappingStudyContext is MappingStudy with cancellation (the ECS probes are
-// cheap and serial, so the context only gates entry).
+// cheap and serial, so the context only gates entry). It runs once per
+// pipeline; later calls return the same result.
 func (p *Pipeline) MappingStudyContext(ctx context.Context) (*MappingResult, error) {
+	return cached(p, "mapping", func() (*MappingResult, error) { return p.mappingStudy(ctx) })
+}
+
+func (p *Pipeline) mappingStudy(ctx context.Context) (*MappingResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -108,15 +112,19 @@ func (p *Pipeline) MitigationStudy() (*MitigationResult, error) {
 }
 
 // MitigationStudyContext is MitigationStudy with cancellation; the
-// shared-vs-isolated sweep fans out across p.Workers goroutines.
+// shared-vs-isolated sweep fans out across p.Workers goroutines. It runs
+// once per pipeline; later calls return the same result.
 func (p *Pipeline) MitigationStudyContext(ctx context.Context) (*MitigationResult, error) {
+	return cached(p, "mitigation", func() (*MitigationResult, error) { return p.mitigationStudy(ctx) })
+}
+
+func (p *Pipeline) mitigationStudy(ctx context.Context) (*MitigationResult, error) {
 	root := p.span("mitigation-study")
 	defer root.End()
-	_, d, err := p.deployment(hypergiant.Epoch2023)
+	d, m, err := p.capacityModel("mitigation-study")
 	if err != nil {
 		return nil, err
 	}
-	m := capacity.Build(d, capacity.ConfigFromScenario(p.spec(), p.Seed))
 	sctx, sp := p.spanCtx(ctx, "mitigation-study/sweep")
 	st, err := cascade.MitigationSweepContext(sctx, m, d, d.HostingISPs(), p.Workers)
 	if err != nil {

@@ -51,7 +51,9 @@ const (
 )
 
 // Pipeline owns a seeded reproduction run. Worlds and deployments are built
-// lazily, once per epoch, and shared across experiments.
+// lazily, once per epoch, and every experiment's result is computed once
+// per run and shared (see cached). Set the exported fields before the first
+// experiment and leave them alone after: neither cache looks at them again.
 type Pipeline struct {
 	Seed  int64
 	Scale Scale
@@ -105,16 +107,20 @@ type Pipeline struct {
 	mu     sync.Mutex
 	worlds map[hypergiant.Epoch]*inet.World
 	deps   map[hypergiant.Epoch]*hypergiant.Deployment
+
+	resMu   sync.Mutex
+	results map[string]*flight
 }
 
 // NewPipeline creates a pipeline for the given seed and scale, running the
 // default scenario.
 func NewPipeline(seed int64, scale Scale) *Pipeline {
 	return &Pipeline{
-		Seed:   seed,
-		Scale:  scale,
-		worlds: make(map[hypergiant.Epoch]*inet.World),
-		deps:   make(map[hypergiant.Epoch]*hypergiant.Deployment),
+		Seed:    seed,
+		Scale:   scale,
+		worlds:  make(map[hypergiant.Epoch]*inet.World),
+		deps:    make(map[hypergiant.Epoch]*hypergiant.Deployment),
+		results: make(map[string]*flight),
 	}
 }
 

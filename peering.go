@@ -65,8 +65,13 @@ func (p *Pipeline) PeeringSurveyFor(hg traffic.HG) (*PeeringSurveyResult, error)
 
 // PeeringSurveyForContext is PeeringSurveyFor with cancellation; the
 // traceroute campaign fans out one destination ISP per task across
-// p.Workers goroutines.
+// p.Workers goroutines. It runs once per pipeline and hypergiant; later
+// calls return the same result.
 func (p *Pipeline) PeeringSurveyForContext(ctx context.Context, hg traffic.HG) (*PeeringSurveyResult, error) {
+	return cached(p, "peering/"+hg.String(), func() (*PeeringSurveyResult, error) { return p.peeringSurvey(ctx, hg) })
+}
+
+func (p *Pipeline) peeringSurvey(ctx context.Context, hg traffic.HG) (*PeeringSurveyResult, error) {
 	root := p.span("peering-survey")
 	root.SetAttr("hypergiant", hg.String())
 	defer root.End()

@@ -46,8 +46,13 @@ func (p *Pipeline) Table1() (*Table1Result, error) {
 }
 
 // Table1Context is Table1 with cancellation (the scan simulation streams
-// serially, so the context only gates entry).
+// serially, so the context only gates entry). It runs once per pipeline;
+// later calls return the same result.
 func (p *Pipeline) Table1Context(ctx context.Context) (*Table1Result, error) {
+	return cached(p, "table1", func() (*Table1Result, error) { return p.table1(ctx) })
+}
+
+func (p *Pipeline) table1(ctx context.Context) (*Table1Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

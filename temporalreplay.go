@@ -3,8 +3,6 @@ package offnetrisk
 import (
 	"context"
 
-	"offnetrisk/internal/capacity"
-	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/temporal"
@@ -20,11 +18,10 @@ import (
 func (p *Pipeline) TemporalReplayContext(ctx context.Context, hours int, sched *scenario.Schedule, sink *obs.EventSink) (*temporal.Trajectory, error) {
 	root := p.span("temporal-replay")
 	defer root.End()
-	_, d, err := p.deployment(hypergiant.Epoch2023)
+	d, m, err := p.capacityModel("temporal-replay")
 	if err != nil {
 		return nil, err
 	}
-	m := capacity.Build(d, capacity.ConfigFromScenario(p.spec(), p.Seed))
 	eng, err := temporal.New(m, d, sched, temporal.Config{Hours: hours, Sink: sink})
 	if err != nil {
 		return nil, err
