@@ -100,6 +100,9 @@ fuzz-smoke:
 	$(GO) test ./internal/rdns -run '^FuzzExtractMetro$$' -fuzz '^FuzzExtractMetro$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rdns -run '^FuzzLearnedExtract$$' -fuzz '^FuzzLearnedExtract$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^FuzzParseSchedule$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netaddr -run '^FuzzParseAddr$$' -fuzz '^FuzzParseAddr$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/netaddr -run '^FuzzParsePrefix$$' -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/inet -run '^FuzzReadWorld$$' -fuzz '^FuzzReadWorld$$' -fuzztime $(FUZZTIME)
 
 # Chaos determinism gate: reproduce under the heavy fault profile at the
 # golden seeds and diff against the checked-in degraded reference. The run

@@ -63,7 +63,7 @@ func BenchmarkTable1OffnetScan(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.Table1()
+		res, err = p.Table1Context(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,8 +82,16 @@ func benchColocation(b *testing.B) (*hypergiant.Deployment, *mlab.Campaign, *col
 	if err != nil {
 		b.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, benchSeed), mlab.DefaultConfig(benchSeed))
-	return d, c, coloc.Analyze(w, c, []float64{0.1, 0.9})
+	ctx := context.Background()
+	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(163, benchSeed), mlab.DefaultConfig(benchSeed))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d, c, a
 }
 
 // BenchmarkTable2Colocation regenerates Table 2 (§3.2): the latency
@@ -115,7 +123,7 @@ func BenchmarkTable2Colocation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				a, err = coloc.AnalyzeContext(ctx, w, c, []float64{0.1, 0.9}, workers)
+				a, err = coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, workers, traffic.DefaultMix())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -193,7 +201,7 @@ func BenchmarkValidationRDNS(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.Colocation()
+		res, err = p.ColocationContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +243,9 @@ func BenchmarkSec41Diurnal(b *testing.B) {
 	b.ResetTimer()
 	var pts []capacity.DiurnalPoint
 	for i := 0; i < b.N; i++ {
-		pts = capacity.DiurnalSweep(m)
+		if pts, err = capacity.DiurnalSweepContext(context.Background(), m, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(100*pts[3].DistantShare, "distant%@03h")
 	b.ReportMetric(100*pts[19].DistantShare, "distant%@19h")
@@ -332,7 +342,9 @@ func BenchmarkSec43Cascade(b *testing.B) {
 	b.ResetTimer()
 	var st cascade.SweepStats
 	for i := 0; i < b.N; i++ {
-		st = cascade.Sweep(m, d, hosts)
+		if st, err = cascade.SweepContext(context.Background(), m, d, hosts, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(st.MeanHGsPerFailure, "hg-per-failure")
 	b.ReportMetric(100*st.CongestionFraction, "congesting%")
@@ -367,7 +379,10 @@ func BenchmarkAblationXiVsThreshold(b *testing.B) {
 			if len(ms) < 2 {
 				continue
 			}
-			dm := coloc.DistanceMatrix(ms, c.GoodSites[as], coloc.DiscrepancyExclusion)
+			dm, err := coloc.DistanceMatrixContext(context.Background(), ms, c.GoodSites[as], coloc.DiscrepancyExclusion, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
 			res := optics.Run(len(ms), dm.At, 2, math.Inf(1))
 
 			lx := res.Labels(res.ExtractXi(0.1, 2))
@@ -437,7 +452,10 @@ func BenchmarkAblationSiteExclusion(b *testing.B) {
 				continue
 			}
 			for _, exclude := range []float64{coloc.DiscrepancyExclusion, 0} {
-				dm := coloc.DistanceMatrix(ms, c.GoodSites[as], exclude)
+				dm, err := coloc.DistanceMatrixContext(context.Background(), ms, c.GoodSites[as], exclude, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
 				labels := optics.ClusterXi(len(ms), dm.At, 2, 0.1)
 				f1, _ := pairF1(ms, labels)
 				if exclude > 0 {
@@ -476,13 +494,19 @@ func BenchmarkAblationPingStat(b *testing.B) {
 		for name, st := range stat {
 			cfg := mlab.DefaultConfig(benchSeed)
 			cfg.Stat = st
-			c := mlab.Measure(d, sites, cfg)
+			c, err := mlab.MeasureContext(context.Background(), d, sites, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var sum, n float64
 			for as, ms := range c.ByISP {
 				if len(ms) < 2 {
 					continue
 				}
-				dm := coloc.DistanceMatrix(ms, c.GoodSites[as], coloc.DiscrepancyExclusion)
+				dm, err := coloc.DistanceMatrixContext(context.Background(), ms, c.GoodSites[as], coloc.DiscrepancyExclusion, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
 				labels := optics.ClusterXi(len(ms), dm.At, 2, 0.1)
 				f1, _ := pairF1(ms, labels)
 				sum += f1
@@ -509,7 +533,7 @@ func BenchmarkMappingTechnique(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.MappingStudy()
+		res, err = p.MappingStudyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -540,7 +564,7 @@ func BenchmarkMitigationIsolation(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.MitigationStudy()
+		res, err = p.MitigationStudyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -561,7 +585,7 @@ func BenchmarkSec41Apartments(b *testing.B) {
 		p := NewPipeline(benchSeed, ScaleTiny)
 		tr = instrument(p)
 		var err error
-		res, err = p.CapacityStudy()
+		res, err = p.CapacityStudyContext(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -588,8 +612,12 @@ func BenchmarkAblationColocationRisk(b *testing.B) {
 	b.ResetTimer()
 	var col, dec cascade.RiskCurve
 	for i := 0; i < b.N; i++ {
-		col = cascade.MonteCarlo(mCol, d, 3, 60, benchSeed)
-		dec = cascade.MonteCarlo(mDecol, decol, 3, 60, benchSeed)
+		if col, err = cascade.MonteCarloContext(context.Background(), mCol, d, 3, 60, benchSeed, 1); err != nil {
+			b.Fatal(err)
+		}
+		if dec, err = cascade.MonteCarloContext(context.Background(), mDecol, decol, 3, 60, benchSeed, 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 	b.ReportMetric(col.MeanHGs, "hg-hit/colocated")
 	b.ReportMetric(dec.MeanHGs, "hg-hit/decolocated")

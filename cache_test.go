@@ -52,7 +52,7 @@ func TestConformanceDoesNoExtraWork(t *testing.T) {
 	p := NewPipeline(42, ScaleTiny)
 	runAll(t, p)
 	before := counterValues(all...)
-	if _, err := p.Conformance(); err != nil {
+	if _, err := p.ConformanceContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	got := delta(before, counterValues(all...))
@@ -85,7 +85,7 @@ func TestColocationSingleflight(t *testing.T) {
 	counters := []string{"ping.rtts_measured", "optics.runs_total"}
 
 	before := counterValues(counters...)
-	if _, err := NewPipeline(42, ScaleTiny).Colocation(); err != nil {
+	if _, err := NewPipeline(42, ScaleTiny).ColocationContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	once := delta(before, counterValues(counters...))
@@ -135,10 +135,10 @@ func TestCancelledCallIsNotCached(t *testing.T) {
 	if err != nil || col == nil {
 		t.Fatalf("colocation after a cancelled call: %v", err)
 	}
-	if t1, err := p.Table1(); err != nil || t1 == nil {
+	if t1, err := p.Table1Context(context.Background()); err != nil || t1 == nil {
 		t.Fatalf("Table1 after a cancelled call: %v", err)
 	}
-	if again, _ := p.Colocation(); again != col {
+	if again, _ := p.ColocationContext(context.Background()); again != col {
 		t.Fatal("the successful result was not cached")
 	}
 }
@@ -253,7 +253,7 @@ func TestColocationReachabilityMatchesRecomputation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := NewPipeline(42, ScaleTiny)
 		p.Workers = workers
-		col, err := p.Colocation()
+		col, err := p.ColocationContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,13 +299,13 @@ func TestSharedCapacityModelIsReadOnly(t *testing.T) {
 	fresh := serve()
 
 	runAll(t, p)
-	if _, err := p.PerfectStorm(3, 1.5); err != nil {
+	if _, err := p.PerfectStormContext(context.Background(), 3, 1.5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.TemporalReplayContext(context.Background(), 24, flashCrowdSchedule(t), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Conformance(); err != nil {
+	if _, err := p.ConformanceContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if _, m2, _ := p.capacityModel("test"); m2 != m {

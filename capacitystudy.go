@@ -54,15 +54,10 @@ type CapacityResult struct {
 	Panel PanelRow
 }
 
-// CapacityStudy runs the offnet/interconnect capacity experiments on the
-// 2023 deployment.
-func (p *Pipeline) CapacityStudy() (*CapacityResult, error) {
-	return p.CapacityStudyContext(context.Background())
-}
-
-// CapacityStudyContext is CapacityStudy with cancellation; the diurnal
-// sweep serves its 24 hours across p.Workers goroutines. It runs once per
-// pipeline; later calls return the same result.
+// CapacityStudyContext runs the offnet/interconnect capacity experiments on
+// the 2023 deployment; the diurnal sweep serves its 24 hours across
+// p.Workers goroutines. It runs once per pipeline; later calls return the
+// same result.
 func (p *Pipeline) CapacityStudyContext(ctx context.Context) (*CapacityResult, error) {
 	return cached(p, "capacity", func() (*CapacityResult, error) { return p.capacityStudy(ctx) })
 }

@@ -32,6 +32,7 @@ import (
 	"offnetrisk/internal/svgplot"
 	"offnetrisk/internal/sweep"
 	"offnetrisk/internal/temporal"
+	"offnetrisk/internal/traffic"
 )
 
 func main() {
@@ -190,7 +191,7 @@ func main() {
 	})
 
 	run("peering-survey", func() error {
-		ps, err := p.PeeringSurveyContext(ctx)
+		ps, err := p.PeeringSurveyForContext(ctx, traffic.Google)
 		if err != nil {
 			return err
 		}

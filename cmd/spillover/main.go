@@ -13,6 +13,7 @@ import (
 	"offnetrisk/internal/cli"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/sweep"
+	"offnetrisk/internal/traffic"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func main() {
 	defer stopObs()
 
 	logger.Debug("running peering survey", "seed", common.Seed, "scale", common.Scale().String())
-	ps, err := p.PeeringSurveyContext(ctx)
+	ps, err := p.PeeringSurveyForContext(ctx, traffic.Google)
 	if err != nil {
 		fatal("peering survey failed", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"offnetrisk/internal/report"
 	"offnetrisk/internal/stats"
 	sweeppkg "offnetrisk/internal/sweep"
+	"offnetrisk/internal/traffic"
 )
 
 // The sensitivity sweeps' probe points: the suite checks the direction of
@@ -16,20 +17,14 @@ var (
 	headroomProbe   = []float64{1.05, 2.0}
 )
 
-// Conformance scores every experiment's result against the paper's
+// ConformanceContext scores every experiment's result against the paper's
 // reported shapes, one check per claim. The bands accept the synthetic
 // substrate's variance while rejecting direction or ordering violations —
-// the standard DESIGN.md §4 sets for "reproduced".
-func (p *Pipeline) Conformance() (*report.Suite, error) {
-	return p.ConformanceContext(context.Background())
-}
-
-// ConformanceContext is Conformance with cancellation. It takes each
+// the standard DESIGN.md §4 sets for "reproduced". It takes each
 // experiment's result from the pipeline's result cache, so after a run that
 // already produced them it measures nothing itself: its only own work is
 // the two tiny-world sensitivity sweeps. Experiments not yet run are
-// computed (and cached) through their context-aware variants, so a SIGINT
-// aborts the suite promptly.
+// computed (and cached) under ctx, so a SIGINT aborts the suite promptly.
 func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error) {
 	root := p.span("conformance")
 	defer root.End()
@@ -117,7 +112,7 @@ func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error
 			100*pniSevere/pniTotal, 1, 30, "%")
 	}
 
-	ps, err := p.PeeringSurveyContext(ctx)
+	ps, err := p.PeeringSurveyForContext(ctx, traffic.Google)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -18,11 +19,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
+	ctx := context.Background()
 
 	fmt.Printf("%-8s %6s %6s %9s %11s %8s %9s\n",
 		"HG", "hosts", "peer", "possible", "no-evidence", "via-IXP", "IXP-only")
 	for _, hg := range traffic.All {
-		res, err := p.PeeringSurveyFor(hg)
+		res, err := p.PeeringSurveyForContext(ctx, hg)
 		if err != nil {
 			log.Fatal(err)
 		}

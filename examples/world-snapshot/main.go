@@ -1,12 +1,12 @@
-// World snapshot: persist a synthetic Internet to JSON, restore it, verify
-// the restoration is faithful, and run an analysis against the restored
-// world — the workflow for sharing reproducible worlds between machines.
+// World snapshot: persist a synthetic Internet as an OFNW binary snapshot,
+// read it back, verify the restoration is faithful, and run an analysis
+// against the restored world — the workflow for sharing reproducible worlds
+// between machines.
 //
 //	go run ./examples/world-snapshot
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -22,7 +22,8 @@ func main() {
 	log.SetFlags(0)
 
 	// Build and deploy a world.
-	w := inet.Generate(inet.TinyConfig(7))
+	cfg := inet.TinyConfig(7)
+	w := inet.Generate(cfg)
 	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
 	if err != nil {
 		log.Fatal(err)
@@ -30,23 +31,19 @@ func main() {
 	fmt.Printf("generated: %d ISPs, %d facilities, %d offnet servers\n",
 		len(w.ISPs), len(w.Facilities), len(d.Servers))
 
-	// Snapshot to disk.
-	path := filepath.Join(os.TempDir(), "offnetrisk-world.json")
-	data, err := json.Marshal(w)
+	// Snapshot to disk, tagged with the config that generated the world.
+	path := filepath.Join(os.TempDir(), "offnetrisk-world.ofnw")
+	if err := inet.WriteWorldFile(path, w, cfg, ""); err != nil {
+		log.Fatal(err)
+	}
+	fi, err := os.Stat(path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("snapshot: %d bytes → %s\n", len(data), path)
+	fmt.Printf("snapshot: %d bytes → %s\n", fi.Size(), path)
 
-	// Restore and verify.
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	restored, err := inet.RestoreJSON(raw)
+	// Read back and verify; a snapshot for a different config is rejected.
+	restored, err := inet.ReadWorldFile(path, cfg, "")
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package atlas
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/rdns"
+	"offnetrisk/internal/traffic"
 )
 
 func buildAtlas(t *testing.T, seed int64) (*hypergiant.Deployment, []Entry) {
@@ -19,8 +21,14 @@ func buildAtlas(t *testing.T, seed int64) (*hypergiant.Deployment, []Entry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
-	a := coloc.Analyze(w, c, []float64{0.1, 0.9})
+	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ptrs := rdns.Synthesize(d, rdns.DefaultConfig(seed))
 	return d, Build(d, c, a, ptrs, 0.9)
 }

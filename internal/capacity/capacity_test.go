@@ -1,6 +1,7 @@
 package capacity
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -128,7 +129,10 @@ func TestDiurnalDistantServerEffect(t *testing.T) {
 	// Distant share must be higher at peak (hour 19) than at trough (hour
 	// 3) — the 530-apartment observation.
 	_, m := buildModel(t, 1)
-	pts := DiurnalSweep(m)
+	pts, err := DiurnalSweepContext(context.Background(), m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(pts) != 24 {
 		t.Fatalf("got %d hours", len(pts))
 	}

@@ -1,6 +1,7 @@
 package cascade
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/capacity"
@@ -177,7 +178,10 @@ func TestLinkLoadHelpers(t *testing.T) {
 func TestSweep(t *testing.T) {
 	d, m := setup(t, 1)
 	hosts := d.HostingISPs()
-	st := Sweep(m, d, hosts[:20])
+	st, err := SweepContext(context.Background(), m, d, hosts[:20], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if st.Scenarios == 0 {
 		t.Fatal("no scenarios ran")
 	}

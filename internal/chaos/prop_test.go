@@ -6,6 +6,7 @@
 package chaos_test
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -92,7 +93,11 @@ func pingCampaign(t *testing.T, inj *chaos.Injector) *mlab.Campaign {
 	cfg.MinSites = 25
 	cfg.Workers = 4
 	cfg.Chaos = inj
-	return mlab.Measure(d, sites, cfg)
+	c, err := mlab.MeasureContext(context.Background(), d, sites, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // auditDegraded recomputes the degradation verdict from raw snapshots with
@@ -218,7 +223,10 @@ func TestPropertyColocClustersExcludeDropped(t *testing.T) {
 		prof := randomProfile(1000 + i)
 		inj := chaos.New(prof, rngutil.Derive(propSeed, 3, i))
 		c := pingCampaign(t, inj)
-		a := coloc.Analyze(w, c, []float64{0.9})
+		a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.9}, 1, traffic.DefaultMix())
+		if err != nil {
+			t.Fatal(err)
+		}
 		for as, r := range a.PerISP {
 			ms := c.ByISP[as]
 			xr := r.PerXi[0.9]
@@ -296,7 +304,10 @@ func TestPropertyTracertFunnelsBalanced(t *testing.T) {
 		cfg.TargetsPerISP = 2
 		cfg.Workers = 4
 		cfg.Chaos = inj
-		traces := tracert.Survey(d, traffic.Google, cfg)
+		traces, err := tracert.SurveyContext(context.Background(), d, traffic.Google, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tracert.Infer(w, traffic.Google, d.ContentAS[traffic.Google], traces)
 
 		var issued int64

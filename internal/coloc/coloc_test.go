@@ -1,6 +1,7 @@
 package coloc
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -19,8 +20,14 @@ func fullPipeline(t *testing.T, seed int64) (*hypergiant.Deployment, *mlab.Campa
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
-	a := Analyze(w, c, []float64{0.1, 0.9})
+	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return d, c, a
 }
 
@@ -54,7 +61,10 @@ func TestDistanceMatrixSymmetricZeroDiag(t *testing.T) {
 		if len(ms) < 2 {
 			continue
 		}
-		dm := DistanceMatrix(ms, c.GoodSites[as], DiscrepancyExclusion)
+		dm, err := DistanceMatrixContext(context.Background(), ms, c.GoodSites[as], DiscrepancyExclusion, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if dm.N() != len(ms) {
 			t.Fatalf("N = %d, want %d", dm.N(), len(ms))
 		}

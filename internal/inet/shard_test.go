@@ -2,7 +2,6 @@ package inet
 
 import (
 	"crypto/sha256"
-	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -10,16 +9,16 @@ import (
 	"offnetrisk/internal/rngutil"
 )
 
-// worldHash returns the SHA-256 of the world's canonical JSON snapshot —
-// the same bytes runsdiff hashes, so two equal hashes mean byte-identical
-// worlds by the repo's drift contract.
+// worldHash returns the SHA-256 of the world's OFNW snapshot. The config
+// echo omits Shards and GenWorkers, so equal hashes mean byte-identical
+// worlds at any sharding.
 func worldHash(t testing.TB, cfg Config) [32]byte {
 	t.Helper()
-	b, err := json.Marshal(Generate(cfg))
-	if err != nil {
+	h := sha256.New()
+	if err := WriteWorld(h, Generate(cfg), cfg, ""); err != nil {
 		t.Fatal(err)
 	}
-	return sha256.Sum256(b)
+	return [32]byte(h.Sum(nil))
 }
 
 // TestShardCompositionDeterminism is the sharded builder's core contract:

@@ -4,22 +4,20 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 )
 
-// canonBytes renders the world through the same canonical JSON path the
-// golden manifests hash, so equality here means runsdiff-grade equality.
-func canonBytes(t *testing.T, w *World) []byte {
+// canonBytes renders the world as its OFNW snapshot under cfg.
+func canonBytes(t *testing.T, w *World, cfg Config) []byte {
 	t.Helper()
-	b, err := json.Marshal(w)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteWorld(&buf, w, cfg, ""); err != nil {
 		t.Fatal(err)
 	}
-	return b
+	return buf.Bytes()
 }
 
 func TestSnapshotBinaryRoundTrip(t *testing.T) {
@@ -51,9 +49,17 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, got := canonBytes(t, w), canonBytes(t, r)
+			want, got := canonBytes(t, w, tc.cfg), canonBytes(t, r, tc.cfg)
 			if sha256.Sum256(want) != sha256.Sum256(got) {
 				t.Fatal("canonical render differs after binary round trip")
+			}
+			// The prefix ownership index is rebuilt, not stored.
+			for _, isp := range w.ISPList() {
+				for _, p := range isp.Prefixes {
+					if owner, ok := r.OwnerOf(p.First()); !ok || owner != isp.ASN {
+						t.Fatalf("restored OwnerOf(%s) = %d,%v, want %d", p, owner, ok, isp.ASN)
+					}
+				}
 			}
 			// Restored pools keep allocating without collision.
 			a1, err := w.AllocHostIn(isp.ASN)
@@ -66,6 +72,17 @@ func TestSnapshotBinaryRoundTrip(t *testing.T) {
 			}
 			if a1 != a2 {
 				t.Fatalf("restored host cursor diverged: %v vs %v", a1, a2)
+			}
+			c1, err := w.AddContentAS("hg-next", nil, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c2, err := r.AddContentAS("hg-next", nil, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p1, p2 := w.ISPs[c1].Prefixes[0], r.ISPs[c2].Prefixes[0]; p1 != p2 {
+				t.Fatalf("restored content pool diverged: %v vs %v", p1, p2)
 			}
 		})
 	}
@@ -196,7 +213,7 @@ func TestLoadOrGenerate(t *testing.T) {
 	if !fromDisk {
 		t.Fatal("second call regenerated instead of streaming the snapshot")
 	}
-	if sha256.Sum256(canonBytes(t, w1)) != sha256.Sum256(canonBytes(t, w2)) {
+	if sha256.Sum256(canonBytes(t, w1, cfg)) != sha256.Sum256(canonBytes(t, w2, cfg)) {
 		t.Fatal("streamed world differs from generated world")
 	}
 
@@ -211,7 +228,7 @@ func TestLoadOrGenerate(t *testing.T) {
 	if err != nil || fromDisk {
 		t.Fatalf("empty path: err=%v fromDisk=%v", err, fromDisk)
 	}
-	if sha256.Sum256(canonBytes(t, w1)) != sha256.Sum256(canonBytes(t, w3)) {
+	if sha256.Sum256(canonBytes(t, w1, cfg)) != sha256.Sum256(canonBytes(t, w3, cfg)) {
 		t.Fatal("empty-path generation differs")
 	}
 }

@@ -179,7 +179,7 @@ type World struct {
 
 	// owners is the sorted interval index behind OwnerOf: every announced
 	// prefix contributes one contiguous [first,last] span. Mutation paths
-	// (generation, Restore, AddContentAS) append and then finalize; lookups
+	// (generation, ReadWorld, AddContentAS) append and then finalize; lookups
 	// never sort, so concurrent measurement stages read race-free.
 	owners []ownerSpan
 	// fabrics is the sorted interval index behind IXPOf.
@@ -205,7 +205,7 @@ func (w *World) registerOwner(first, last netaddr.Addr, as ASN) {
 }
 
 // finalize sorts the interval indexes. Every mutation path (Generate,
-// Restore, AddContentAS) calls it eagerly before returning, so OwnerOf and
+// ReadWorld, AddContentAS) calls it eagerly before returning, so OwnerOf and
 // IXPOf are pure reads — safe under the parallel measurement stages.
 func (w *World) finalize() {
 	sort.Slice(w.owners, func(i, j int) bool { return w.owners[i].first < w.owners[j].first })

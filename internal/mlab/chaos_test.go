@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"runtime"
 	"testing"
 
@@ -22,52 +23,89 @@ func chaosInjector(t *testing.T, profile string, seed int64) *chaos.Injector {
 	return chaos.New(prof, seed)
 }
 
+// campaignState renders c for byte comparison. encoding/json rejects NaN,
+// which RTTms holds wherever all probes from a site were lost, so RTTs are
+// encoded as their bit patterns.
+func campaignState(c *Campaign) any {
+	type measurement struct {
+		Target  *hypergiant.Server
+		RTTBits []uint64
+	}
+	byISP := make(map[inet.ASN][]measurement, len(c.ByISP))
+	for as, ms := range c.ByISP {
+		for _, m := range ms {
+			bits := make([]uint64, len(m.RTTms))
+			for i, v := range m.RTTms {
+				bits[i] = math.Float64bits(v)
+			}
+			byISP[as] = append(byISP[as], measurement{m.Target, bits})
+		}
+	}
+	rest := *c
+	rest.ByISP = nil
+	return struct {
+		Campaign Campaign
+		ByISP    map[inet.ASN][]measurement
+	}{rest, byISP}
+}
+
 // TestCampaignChaosDeterministicAcrossWorkers extends the clean worker-sweep
 // guard to fault injection: chaos decisions are pure per-item hashes, so the
 // campaign accounting and the full funnel/metric state must stay
-// byte-identical at any worker count.
+// byte-identical at any worker count. Under this profile the sharded
+// world's campaign holds NaN RTTs.
 func TestCampaignChaosDeterministicAcrossWorkers(t *testing.T) {
-	w := inet.Generate(inet.TinyConfig(7))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sites := Sites(163, 7)
-
-	state := func(workers int) []byte {
-		obs.Default.Reset()
-		cfg := DefaultConfig(7)
-		cfg.Workers = workers
-		cfg.Chaos = chaosInjector(t, "heavy", 11)
-		c, err := MeasureContext(context.Background(), d, sites, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Histogram float sums are excluded: parallel float accumulation is
-		// order-sensitive in the last ulp (runsdiff treats it as
-		// informational); counters and funnels must match exactly.
-		counters := make(map[string]obs.MetricValue)
-		for name, v := range obs.Default.Snapshot() {
-			if v.Type == "counter" {
-				counters[name] = v
+	sharded := inet.TinyConfig(7)
+	sharded.Sharded = true
+	for _, tc := range []struct {
+		name string
+		cfg  inet.Config
+	}{{"legacy", inet.TinyConfig(7)}, {"sharded", sharded}} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := inet.Generate(tc.cfg)
+			d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		blob, err := json.Marshal(struct {
-			Campaign *Campaign
-			Funnels  []obs.FunnelSnapshot
-			Counters map[string]obs.MetricValue
-		}{c, obs.Default.FunnelSnapshots(), counters})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return blob
-	}
+			sites := Sites(163, 7)
 
-	ref := state(1)
-	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
-		if got := state(workers); !bytes.Equal(ref, got) {
-			t.Fatalf("chaos campaign state diverged between workers=1 and workers=%d", workers)
-		}
+			state := func(workers int) []byte {
+				obs.Default.Reset()
+				cfg := DefaultConfig(7)
+				cfg.Workers = workers
+				cfg.Chaos = chaosInjector(t, "heavy", 11)
+				c, err := MeasureContext(context.Background(), d, sites, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Histogram float sums are excluded: parallel float
+				// accumulation is order-sensitive in the last ulp (runsdiff
+				// treats it as informational); counters and funnels must
+				// match exactly.
+				counters := make(map[string]obs.MetricValue)
+				for name, v := range obs.Default.Snapshot() {
+					if v.Type == "counter" {
+						counters[name] = v
+					}
+				}
+				blob, err := json.Marshal(struct {
+					Campaign any
+					Funnels  []obs.FunnelSnapshot
+					Counters map[string]obs.MetricValue
+				}{campaignState(c), obs.Default.FunnelSnapshots(), counters})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return blob
+			}
+
+			ref := state(1)
+			for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+				if got := state(workers); !bytes.Equal(ref, got) {
+					t.Fatalf("chaos campaign state diverged between workers=1 and workers=%d", workers)
+				}
+			}
+		})
 	}
 }
 
@@ -88,7 +126,10 @@ func TestCampaignChaosRetrySingleCount(t *testing.T) {
 	}, 11)
 	cfg := DefaultConfig(7)
 	cfg.Chaos = inj
-	c := Measure(d, Sites(163, 7), cfg)
+	c, err := MeasureContext(context.Background(), d, Sites(163, 7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var filter obs.FunnelSnapshot
 	for _, s := range obs.Default.FunnelSnapshots() {
@@ -135,8 +176,11 @@ func TestCampaignChaosOffUnchanged(t *testing.T) {
 		obs.Default.Reset()
 		cfg := DefaultConfig(7)
 		cfg.Chaos = inj
-		c := Measure(d, sites, cfg)
-		blob, err := json.Marshal(c)
+		c, err := MeasureContext(context.Background(), d, sites, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(campaignState(c))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -173,16 +173,11 @@ type Campaign struct {
 	ChaosGatedISPs int
 }
 
-// Measure runs the campaign against every offnet server in the deployment.
-func Measure(d *hypergiant.Deployment, sites []Site, cfg Config) *Campaign {
-	c, _ := MeasureContext(context.Background(), d, sites, cfg)
-	return c
-}
-
-// MeasureContext is Measure with cancellation: the campaign fans out across
-// targets on cfg.Workers goroutines and aborts early (returning a non-nil
-// error and no campaign) when the context is cancelled. Results are merged
-// in deployment order, so they are byte-identical at any worker count.
+// MeasureContext runs the campaign against every offnet server in the
+// deployment. The campaign fans out across targets on cfg.Workers goroutines
+// and aborts early (returning a non-nil error and no campaign) when the
+// context is cancelled. Results are merged in deployment order, so they are
+// byte-identical at any worker count.
 func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site, cfg Config) (*Campaign, error) {
 	cfg = cfg.sanitized()
 	c := &Campaign{

@@ -1,6 +1,7 @@
 package mlab
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -17,8 +18,11 @@ func campaign(t *testing.T, seed int64) (*hypergiant.Deployment, *Campaign) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := Sites(163, seed)
-	return d, Measure(d, sites, DefaultConfig(seed))
+	c, err := MeasureContext(context.Background(), d, Sites(163, seed), DefaultConfig(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, c
 }
 
 func TestSitesGeneration(t *testing.T) {
@@ -229,7 +233,10 @@ func TestMinSitesGate(t *testing.T) {
 	sites := Sites(50, 3) // fewer sites than the gate
 	cfg := DefaultConfig(3)
 	cfg.MinSites = 100
-	c := Measure(d, sites, cfg)
+	c, err := MeasureContext(context.Background(), d, sites, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.MeasuredISPs != 0 {
 		t.Errorf("no ISP can have ≥100 good sites out of 50; got %d", c.MeasuredISPs)
 	}
@@ -245,7 +252,10 @@ func TestMeasureEmptyDeployment(t *testing.T) {
 		ContentAS: map[traffic.HG]inet.ASN{},
 	}
 	d.Reindex()
-	c := Measure(d, Sites(10, 3), DefaultConfig(3))
+	c, err := MeasureContext(context.Background(), d, Sites(10, 3), DefaultConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.TotalMeasured != 0 || c.MeasuredISPs != 0 {
 		t.Errorf("empty deployment produced measurements: %+v", c)
 	}

@@ -1,6 +1,7 @@
 package rdns
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/coloc"
@@ -9,6 +10,7 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/netaddr"
+	"offnetrisk/internal/traffic"
 )
 
 func TestExtractMetro(t *testing.T) {
@@ -118,8 +120,14 @@ func TestEndToEndValidationMatchesPaperShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := mlab.Measure(d, mlab.Sites(163, 1), mlab.DefaultConfig(1))
-	a := coloc.Analyze(w, c, []float64{0.1, 0.9})
+	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, 1), mlab.DefaultConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	if err != nil {
+		t.Fatal(err)
+	}
 	ptrs := Synthesize(d, DefaultConfig(1))
 
 	for _, xi := range []float64{0.1, 0.9} {

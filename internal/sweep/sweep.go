@@ -5,6 +5,7 @@
 package sweep
 
 import (
+	"context"
 	"fmt"
 
 	"offnetrisk/internal/capacity"
@@ -128,7 +129,10 @@ func ColocationPropensity(seed int64, values []float64) (Result, error) {
 				}
 			}
 			m := capacity.Build(d, capacity.DefaultConfig(seed))
-			st := cascade.Sweep(m, d, d.HostingISPs())
+			st, err := cascade.SweepContext(context.TODO(), m, d, d.HostingISPs(), 1)
+			if err != nil {
+				return fmt.Errorf("sweep: propensity %v: %w", v, err)
+			}
 
 			point.Metrics = map[string]float64{
 				"all-at-top-frac": frac(allAtTop, multi),

@@ -81,7 +81,10 @@ func TestSurveyChaosAccounting(t *testing.T) {
 	cfg.VMs = 8
 	cfg.TargetsPerISP = 2
 	cfg.Chaos = inj
-	traces := Survey(d, traffic.Google, cfg)
+	traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	Infer(w, traffic.Google, d.ContentAS[traffic.Google], traces)
 
 	var issued int64
@@ -141,7 +144,11 @@ func TestSurveyChaosOffUnchanged(t *testing.T) {
 		cfg.VMs = 8
 		cfg.TargetsPerISP = 2
 		cfg.Chaos = inj
-		blob, err := json.Marshal(Survey(d, traffic.Google, cfg))
+		traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := json.Marshal(traces)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package tracert
 
 import (
+	"context"
 	"testing"
 
 	"offnetrisk/internal/hypergiant"
@@ -17,7 +18,10 @@ func surveyTiny(t *testing.T, seed int64) (*hypergiant.Deployment, map[inet.ASN]
 	}
 	cfg := DefaultConfig(seed)
 	cfg.VMs = 24 // keep the tiny survey fast; coverage is still dense
-	traces := Survey(d, traffic.Google, cfg)
+	traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inf := Infer(w, traffic.Google, d.ContentAS[traffic.Google], traces)
 	return d, traces, inf
 }

@@ -29,15 +29,10 @@ type MappingResult struct {
 	Era2023 []MappingRow
 }
 
-// MappingStudy runs the Calder-2013 ECS mapping technique against both
-// steering eras on the 2023 deployment.
-func (p *Pipeline) MappingStudy() (*MappingResult, error) {
-	return p.MappingStudyContext(context.Background())
-}
-
-// MappingStudyContext is MappingStudy with cancellation (the ECS probes are
-// cheap and serial, so the context only gates entry). It runs once per
-// pipeline; later calls return the same result.
+// MappingStudyContext runs the Calder-2013 ECS mapping technique against
+// both steering eras on the 2023 deployment. The ECS probes are cheap and
+// serial, so the context only gates entry. It runs once per pipeline; later
+// calls return the same result.
 func (p *Pipeline) MappingStudyContext(ctx context.Context) (*MappingResult, error) {
 	return cached(p, "mapping", func() (*MappingResult, error) { return p.mappingStudy(ctx) })
 }
@@ -106,14 +101,9 @@ type MitigationResult struct {
 	FullyNeutralizedPct    float64
 }
 
-// MitigationStudy sweeps top-facility failures under both regimes.
-func (p *Pipeline) MitigationStudy() (*MitigationResult, error) {
-	return p.MitigationStudyContext(context.Background())
-}
-
-// MitigationStudyContext is MitigationStudy with cancellation; the
-// shared-vs-isolated sweep fans out across p.Workers goroutines. It runs
-// once per pipeline; later calls return the same result.
+// MitigationStudyContext sweeps top-facility failures under both regimes;
+// the shared-vs-isolated sweep fans out across p.Workers goroutines. It
+// runs once per pipeline; later calls return the same result.
 func (p *Pipeline) MitigationStudyContext(ctx context.Context) (*MitigationResult, error) {
 	return cached(p, "mitigation", func() (*MitigationResult, error) { return p.mitigationStudy(ctx) })
 }

@@ -1,50 +1,53 @@
 package offnetrisk
 
 import (
+	"context"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/traffic"
 )
 
 // runAll executes every experiment and concatenates the deterministic
 // renderings — the exact bytes REPORT.md is built from.
 func runAll(t *testing.T, p *Pipeline) string {
 	t.Helper()
+	ctx := context.Background()
 	var b strings.Builder
-	t1, err := p.Table1()
+	t1, err := p.Table1Context(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(t1.String())
-	col, err := p.Colocation()
+	col, err := p.ColocationContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(col.String())
-	ps, err := p.PeeringSurvey()
+	ps, err := p.PeeringSurveyForContext(ctx, traffic.Google)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(ps.String())
-	cs, err := p.CapacityStudy()
+	cs, err := p.CapacityStudyContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(cs.String())
-	cas, err := p.CascadeStudy()
+	cas, err := p.CascadeStudyContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(cas.String())
-	mp, err := p.MappingStudy()
+	mp, err := p.MappingStudyContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b.WriteString(mp.String())
-	mit, err := p.MitigationStudy()
+	mit, err := p.MitigationStudyContext(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +108,7 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 		p := NewPipeline(42, ScaleTiny)
 		p.Workers = workers
 		p.Instrument(obs.NewTracer())
-		suite, err := p.Conformance()
+		suite, err := p.ConformanceContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,11 +10,11 @@
 // the experiment corresponding to each table and figure of the paper.
 //
 //	p := offnetrisk.NewPipeline(42, offnetrisk.ScaleDefault)
-//	t1, err := p.Table1()           // §2.2, Table 1
-//	col, err := p.Colocation()      // §3.2, Table 2 + Figures 1–2
-//	ps, err := p.PeeringSurvey()    // §4.2.1
-//	cap, err := p.CapacityStudy()   // §4.1 + §4.2.2
-//	cas, err := p.CascadeStudy()    // §3.3 + §4.3
+//	t1, err := p.Table1Context(ctx)                           // §2.2, Table 1
+//	col, err := p.ColocationContext(ctx)                      // §3.2, Table 2 + Figures 1–2
+//	ps, err := p.PeeringSurveyForContext(ctx, traffic.Google) // §4.2.1
+//	cap, err := p.CapacityStudyContext(ctx)                   // §4.1 + §4.2.2
+//	cas, err := p.CascadeStudyContext(ctx)                    // §3.3 + §4.3
 //
 // All randomness derives from the pipeline seed; equal seeds reproduce
 // identical results bit for bit.

@@ -154,7 +154,7 @@ func TestScheduleFreeRunLeavesManifestClean(t *testing.T) {
 func TestTemporalReplayTransparency(t *testing.T) {
 	obs.Default.Reset()
 	plain := tinyPipeline(42)
-	a, err := plain.Table1()
+	a, err := plain.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTemporalReplayTransparency(t *testing.T) {
 	if _, err := withReplay.TemporalReplayContext(context.Background(), 24, flashCrowdSchedule(t), nil); err != nil {
 		t.Fatal(err)
 	}
-	b, err := withReplay.Table1()
+	b, err := withReplay.Table1Context(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
