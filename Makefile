@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal
+.PHONY: build test vet fmt-check race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal check-perfbench
 
 build:
 	$(GO) build ./...
@@ -65,12 +65,20 @@ profile:
 
 # fmt-check fails on any file gofmt would change; race-obs runs first so
 # concurrency regressions in the observability and parallel substrates fail
-# fast, before the full race suite; perf-gate is pure file analysis; check-scenarios proves every named scenario still
-# reproduces its committed golden manifest; check-shards proves -shards is
-# output-invariant and the huge tier generates and streams; check-lineage
-# proves the provenance capture reproduces its committed digest and answers
-# evidence queries.
-check: build fmt-check vet race-obs race perf-gate check-scenarios check-shards check-lineage check-temporal
+# fast, before the full race suite; perf-gate is pure file analysis;
+# runs-diff and check-chaos prove the golden reproduction is byte-identical
+# clean and under heavy chaos; check-scenarios proves every named scenario
+# still reproduces its committed golden manifest; check-shards proves
+# -shards is output-invariant and the huge tier generates and streams;
+# check-lineage proves the provenance capture reproduces its committed
+# digest and answers evidence queries; check-perfbench vets and tests the
+# benchmark harness against the library helpers it calls.
+check: build fmt-check vet race-obs race perf-gate runs-diff check-chaos check-scenarios check-shards check-lineage check-temporal check-perfbench
+
+# The benchmark harness is its own module (perfbench/go.mod), so the root
+# ./... patterns never reach it.
+check-perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Full reproduction report with provenance manifest.
 report:

@@ -20,6 +20,7 @@ import (
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/optics"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/stats"
 	"offnetrisk/internal/tracert"
 	"offnetrisk/internal/traffic"
@@ -83,11 +84,11 @@ func benchColocation(b *testing.B) (*hypergiant.Deployment, *mlab.Campaign, *col
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(163, benchSeed), mlab.DefaultConfig(benchSeed))
+	c, err := mlab.MeasureContext(ctx, d, mlab.Sites(163, benchSeed), mlab.ConfigFromScenario(scenario.Default(), benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
-	a, err := coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	a, err := coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, 1, scenario.Default().Mix())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -117,13 +118,13 @@ func BenchmarkTable2Colocation(b *testing.B) {
 			ctx := context.Background()
 			var a *coloc.Analysis
 			for i := 0; i < b.N; i++ {
-				cfg := mlab.DefaultConfig(benchSeed)
+				cfg := mlab.ConfigFromScenario(scenario.Default(), benchSeed)
 				cfg.Workers = workers
 				c, err := mlab.MeasureContext(ctx, d, sites, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}
-				a, err = coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, workers, traffic.DefaultMix())
+				a, err = coloc.AnalyzeMixContext(ctx, w, c, []float64{0.1, 0.9}, workers, scenario.Default().Mix())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -272,7 +273,7 @@ func BenchmarkSec421PeeringSurvey(b *testing.B) {
 			var st tracert.SurveyStats
 			var n int
 			for i := 0; i < b.N; i++ {
-				cfg := tracert.DefaultConfig(benchSeed)
+				cfg := tracert.ConfigFromScenario(scenario.Default(), benchSeed)
 				cfg.VMs = 24
 				cfg.Workers = workers
 				traces, err := tracert.SurveyContext(ctx, d, traffic.Google, cfg)
@@ -492,7 +493,7 @@ func BenchmarkAblationPingStat(b *testing.B) {
 	scores := make(map[string]float64)
 	for i := 0; i < b.N; i++ {
 		for name, st := range stat {
-			cfg := mlab.DefaultConfig(benchSeed)
+			cfg := mlab.ConfigFromScenario(scenario.Default(), benchSeed)
 			cfg.Stat = st
 			c, err := mlab.MeasureContext(context.Background(), d, sites, cfg)
 			if err != nil {

@@ -58,10 +58,10 @@ func TestConformanceDoesNoExtraWork(t *testing.T) {
 	got := delta(before, counterValues(all...))
 
 	before = counterValues(all...)
-	if _, err := sweeppkg.ColocationPropensity(p.Seed, propensityProbe); err != nil {
+	if _, err := sweeppkg.ColocationPropensity(context.Background(), p.Scenario(), p.Seed, propensityProbe); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweeppkg.SharedHeadroom(p.Seed, headroomProbe); err != nil {
+	if _, err := sweeppkg.SharedHeadroom(context.Background(), p.Scenario(), p.Seed, headroomProbe); err != nil {
 		t.Fatal(err)
 	}
 	sweeps := delta(before, counterValues(all...))
@@ -75,6 +75,15 @@ func TestConformanceDoesNoExtraWork(t *testing.T) {
 		if got[n] != sweeps[n] {
 			t.Errorf("Conformance moved %s by %d; its sensitivity sweeps alone move it by %d", n, got[n], sweeps[n])
 		}
+	}
+
+	// Every experiment is cached now, so the sweeps are the only work a
+	// cancelled suite can reach: it must fail with the ctx error, not drop
+	// the two Sweep checks and report success.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if suite, err := p.ConformanceContext(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Conformance over cached results = (%v, %v), want context.Canceled", suite, err)
 	}
 }
 

@@ -150,7 +150,7 @@ func (p *Pipeline) capacityStudy(ctx context.Context) (*CapacityResult, error) {
 		}
 	}
 	if panelISP != 0 {
-		apts := capacity.ApartmentsMix(530, panelISP, p.Seed, p.spec().Mix())
+		apts := capacity.Apartments(530, panelISP, p.Seed, p.spec().Mix())
 		summary := capacity.Summarize(capacity.ApartmentStudy(m, apts))
 		out.Panel = PanelRow{
 			Apartments:   summary.Apartments,

@@ -247,17 +247,20 @@ func main() {
 	})
 
 	run("sensitivity-sweeps", func() error {
-		fmt.Fprintf(&md, "## Sensitivity sweeps (DESIGN.md §5)\n\n```\n")
-		if r, err := sweep.ColocationPropensity(common.Seed, []float64{0.3, 0.6, 0.86, 0.95}); err == nil {
-			fmt.Fprint(&md, r)
+		sp := p.Scenario()
+		prop, err := sweep.ColocationPropensity(ctx, sp, common.Seed, []float64{0.3, 0.6, 0.86, 0.95})
+		if err != nil {
+			return err
 		}
-		if r, err := sweep.SharedHeadroom(common.Seed, []float64{1.05, 1.25, 1.5, 2.0}); err == nil {
-			fmt.Fprint(&md, r)
+		headroom, err := sweep.SharedHeadroom(ctx, sp, common.Seed, []float64{1.05, 1.25, 1.5, 2.0})
+		if err != nil {
+			return err
 		}
-		if r, err := sweep.DemandSpike(common.Seed, []float64{1.0, 1.3, 1.58, 2.0, 3.0}); err == nil {
-			fmt.Fprint(&md, r)
+		spike, err := sweep.DemandSpike(ctx, sp, common.Seed, []float64{1.0, 1.3, 1.58, 2.0, 3.0})
+		if err != nil {
+			return err
 		}
-		fmt.Fprintf(&md, "```\n\n")
+		fmt.Fprintf(&md, "## Sensitivity sweeps (DESIGN.md §5)\n\n```\n%s%s%s```\n\n", prop, headroom, spike)
 		return nil
 	})
 

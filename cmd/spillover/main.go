@@ -112,17 +112,18 @@ func main() {
 		// Interactive use gets the timed rendering (wall-clock per sweep
 		// point, from the sweep's spans); REPORT.md keeps the untimed one.
 		fmt.Println()
-		if r, err := sweep.ColocationPropensity(common.Seed, []float64{0.3, 0.6, 0.86, 0.95}); err == nil {
+		sp := p.Scenario()
+		if r, err := sweep.ColocationPropensity(ctx, sp, common.Seed, []float64{0.3, 0.6, 0.86, 0.95}); err == nil {
 			fmt.Print(r.TimedString())
 		} else {
 			fatal("colocation-propensity sweep failed", err)
 		}
-		if r, err := sweep.SharedHeadroom(common.Seed, []float64{1.05, 1.25, 1.5, 2.0}); err == nil {
+		if r, err := sweep.SharedHeadroom(ctx, sp, common.Seed, []float64{1.05, 1.25, 1.5, 2.0}); err == nil {
 			fmt.Print(r.TimedString())
 		} else {
 			fatal("shared-headroom sweep failed", err)
 		}
-		if r, err := sweep.DemandSpike(common.Seed, []float64{1.0, 1.3, 1.58, 2.0, 3.0}); err == nil {
+		if r, err := sweep.DemandSpike(ctx, sp, common.Seed, []float64{1.0, 1.3, 1.58, 2.0, 3.0}); err == nil {
 			fmt.Print(r.TimedString())
 		} else {
 			fatal("demand-spike sweep failed", err)

@@ -168,14 +168,12 @@ func (p *Pipeline) colocation(ctx context.Context) (*ColocationResult, error) {
 	out.UsersAtLeast1, out.UsersAtLeast2, out.UsersAtLeast3, out.UsersAllFour =
 		coloc.GlobalUserShares(w, hosting)
 
-	var analyzableUsers float64
+	analyzable := make(map[inet.ASN]bool, len(campaign.ByISP))
 	for as := range campaign.ByISP {
-		if isp, ok := w.ISPs[as]; ok {
-			analyzableUsers += isp.Users
-		}
+		analyzable[as] = true
 	}
 	if total := w.TotalUsers(); total > 0 {
-		out.UsersAnalyzable = analyzableUsers / total
+		out.UsersAnalyzable = w.UsersInISPs(analyzable) / total
 	}
 
 	for _, hg := range traffic.All {

@@ -163,21 +163,25 @@ func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error
 		mit.MeanCollateralIsolated <= mit.MeanCollateralShared)
 
 	// ---- sensitivity directions (DESIGN.md §5) -----------------------------
-	// The sweeps rebuild tiny worlds internally regardless of the pipeline
-	// scale: the directions under test are scale-independent and the full
-	// sweep at large scale would dominate the suite's runtime.
+	// The sweeps rebuild the scenario's world at tiny topology regardless of
+	// the pipeline scale: the directions under test are scale-independent
+	// and the full sweep at large scale would dominate the suite's runtime.
 	sp := p.span("conformance/sensitivity-sweeps")
 	defer sp.End()
-	if prop, err := sweeppkg.ColocationPropensity(p.Seed, propensityProbe); err == nil && len(prop.Points) == 2 {
-		s.AddBool("Sweep/propensity-direction",
-			"more colocation propensity → more correlated failures",
-			prop.Points[1].Metrics["hg-per-failure"] > prop.Points[0].Metrics["hg-per-failure"])
+	prop, err := sweeppkg.ColocationPropensity(ctx, p.spec(), p.Seed, propensityProbe)
+	if err != nil {
+		return nil, err
 	}
-	if hr, err := sweeppkg.SharedHeadroom(p.Seed, headroomProbe); err == nil && len(hr.Points) == 2 {
-		s.AddBool("Sweep/headroom-direction",
-			"more shared headroom → fewer congesting scenarios",
-			hr.Points[1].Metrics["congesting-frac"] <= hr.Points[0].Metrics["congesting-frac"])
+	s.AddBool("Sweep/propensity-direction",
+		"more colocation propensity → more correlated failures",
+		prop.Points[1].Metrics["hg-per-failure"] > prop.Points[0].Metrics["hg-per-failure"])
+	hr, err := sweeppkg.SharedHeadroom(ctx, p.spec(), p.Seed, headroomProbe)
+	if err != nil {
+		return nil, err
 	}
+	s.AddBool("Sweep/headroom-direction",
+		"more shared headroom → fewer congesting scenarios",
+		hr.Points[1].Metrics["congesting-frac"] <= hr.Points[0].Metrics["congesting-frac"])
 
 	root.SetAttr("checks", len(s.Checks))
 	return s, nil

@@ -60,6 +60,7 @@ func main() {
 		fi.racks[s.Rack][s.HG] = true
 	}
 
+	mix := p.Scenario().Mix()
 	ids := make([]inet.FacilityID, 0, len(inv))
 	for id := range inv {
 		ids = append(ids, id)
@@ -73,7 +74,7 @@ func main() {
 				hgs = append(hgs, hg)
 			}
 		}
-		share := traffic.CombinedFacilityShare(hgs)
+		share := mix.CombinedFacilityShare(hgs)
 		sharedRacks := 0
 		for _, rackHGs := range fi.racks {
 			if len(rackHGs) >= 2 {
@@ -88,7 +89,7 @@ func main() {
 
 	// What happens if the busiest facility fails at peak?
 	fid, nHGs := cascade.TopFacility(d, as)
-	m := capacity.Build(d, capacity.DefaultConfig(7))
+	m := capacity.Build(d, capacity.ConfigFromScenario(p.Scenario(), p.Seed))
 	sc := cascade.DefaultScenario()
 	sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
 	rep := cascade.Simulate(m, d, sc)

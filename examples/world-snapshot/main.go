@@ -16,15 +16,17 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/offnetmap"
 	"offnetrisk/internal/scan"
+	"offnetrisk/internal/scenario"
 )
 
 func main() {
 	log.SetFlags(0)
 
-	// Build and deploy a world.
-	cfg := inet.TinyConfig(7)
+	// Build and deploy the tiny scenario's world.
+	sp := scenario.MustLookup("tiny")
+	cfg := inet.ConfigFromScenario(sp, 7)
 	w := inet.Generate(cfg)
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(7))
+	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DeployConfigFromScenario(sp, 7))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +58,7 @@ func main() {
 	// The restored world supports the same pipelines: run the offnet
 	// inference against a scan of the ORIGINAL deployment using the
 	// RESTORED world's IP-to-AS mapping — they must agree exactly.
-	records, err := scan.Simulate(d, scan.DefaultConfig(7))
+	records, err := scan.Simulate(d, scan.ConfigFromScenario(sp, 7))
 	if err != nil {
 		log.Fatal(err)
 	}

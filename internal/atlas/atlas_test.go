@@ -11,7 +11,7 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/rdns"
-	"offnetrisk/internal/traffic"
+	"offnetrisk/internal/scenario"
 )
 
 func buildAtlas(t *testing.T, seed int64) (*hypergiant.Deployment, []Entry) {
@@ -21,15 +21,15 @@ func buildAtlas(t *testing.T, seed int64) (*hypergiant.Deployment, []Entry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
+	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, seed), mlab.ConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, scenario.Default().Mix())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrs := rdns.Synthesize(d, rdns.DefaultConfig(seed))
+	ptrs := rdns.Synthesize(d, rdns.ConfigFromScenario(scenario.Default(), seed))
 	return d, Build(d, c, a, ptrs, 0.9)
 }
 
@@ -62,7 +62,7 @@ func TestAtlasBeatsPerHostnameLocation(t *testing.T) {
 	// Locating each address only by its own PTR caps coverage at
 	// (PTR coverage × geohint rate) ≈ 25%; the cluster vote must beat it.
 	d, entries := buildAtlas(t, 1)
-	ptrs := rdns.Synthesize(d, rdns.DefaultConfig(1))
+	ptrs := rdns.Synthesize(d, rdns.ConfigFromScenario(scenario.Default(), 1))
 	var soloLocated int
 	for _, e := range entries {
 		if host, ok := ptrs[e.Addr]; ok {

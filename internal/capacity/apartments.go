@@ -32,16 +32,9 @@ type Apartment struct {
 	Phase int
 }
 
-// Apartments synthesizes n households inside one ISP under the paper's
-// traffic mix.
-func Apartments(n int, isp inet.ASN, seed int64) []Apartment {
-	return ApartmentsMix(n, isp, seed, traffic.DefaultMix())
-}
-
-// ApartmentsMix synthesizes n households whose per-hypergiant demand
-// weights follow the given traffic mix.
-func ApartmentsMix(n int, isp inet.ASN, seed int64, mix traffic.Mix) []Apartment {
-	mix = mix.Sanitized()
+// Apartments synthesizes n households inside one ISP whose per-hypergiant
+// demand weights follow the given traffic mix.
+func Apartments(n int, isp inet.ASN, seed int64, mix traffic.Mix) []Apartment {
 	r := rngutil.New(seed ^ 0xa9a97)
 	out := make([]Apartment, 0, n)
 	for i := 0; i < n; i++ {

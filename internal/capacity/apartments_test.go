@@ -6,6 +6,7 @@ import (
 
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -24,7 +25,7 @@ func firstAccessHost(t *testing.T, d *hypergiant.Deployment) inet.ASN {
 func TestApartmentsGeneration(t *testing.T) {
 	d, _ := buildModel(t, 1)
 	isp := firstAccessHost(t, d)
-	apts := Apartments(530, isp, 1)
+	apts := Apartments(530, isp, 1, scenario.Default().Mix())
 	if len(apts) != 530 {
 		t.Fatalf("apartments = %d", len(apts))
 	}
@@ -47,7 +48,7 @@ func TestApartmentsGeneration(t *testing.T) {
 		}
 	}
 	// Deterministic.
-	again := Apartments(530, isp, 1)
+	again := Apartments(530, isp, 1, scenario.Default().Mix())
 	for i := range apts {
 		if apts[i].PeakMbps != again[i].PeakMbps {
 			t.Fatal("apartments not deterministic")
@@ -67,7 +68,7 @@ func TestApartmentStudyReproducesSec41(t *testing.T) {
 			break
 		}
 	}
-	apts := Apartments(530, isp, 1)
+	apts := Apartments(530, isp, 1, scenario.Default().Mix())
 	hours := ApartmentStudy(m, apts)
 	if len(hours) != 530*24 {
 		t.Fatalf("household-hours = %d, want %d", len(hours), 530*24)
@@ -128,7 +129,7 @@ func TestApartmentNoLocalOffnetGoesTransit(t *testing.T) {
 	if !found {
 		t.Skip("every host ISP has all four hypergiants")
 	}
-	apts := Apartments(10, isp, 1)
+	apts := Apartments(10, isp, 1, scenario.Default().Mix())
 	hours := ApartmentStudy(m, apts)
 	var transit float64
 	for _, h := range hours {

@@ -30,7 +30,8 @@ var (
 		"offnet sites in the most recently built capacity model")
 )
 
-// Config tunes the capacity model.
+// Config tunes the capacity model. Its values come from a scenario spec
+// (ConfigFromScenario); Build uses them as given.
 type Config struct {
 	Seed int64
 	// PeakMbpsPerUser matches the deployment's demand model.
@@ -40,36 +41,10 @@ type Config struct {
 	// capacity, with little ability to absorb sudden increases".
 	OffnetProvisioning float64
 	// BurstFactor is how far above nominal capacity an offnet can be pushed
-	// briefly; the COVID data implies ≈1.2 (offnet traffic grew only 20%
-	// under a 58% demand spike).
+	// briefly.
 	BurstFactor float64
-	// Mix is the traffic mix demand is computed against; the zero Mix means
-	// the paper's published constants.
+	// Mix is the traffic mix demand is computed against.
 	Mix traffic.Mix
-}
-
-// DefaultConfig returns the calibration used by the experiments.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:               seed,
-		PeakMbpsPerUser:    0.3,
-		OffnetProvisioning: traffic.SteadyOffnetProvisioning,
-		BurstFactor:        1.2,
-	}
-}
-
-func (c Config) sanitized() Config {
-	if c.PeakMbpsPerUser <= 0 {
-		c.PeakMbpsPerUser = 0.3
-	}
-	if c.OffnetProvisioning <= 0 {
-		c.OffnetProvisioning = traffic.SteadyOffnetProvisioning
-	}
-	if c.BurstFactor < 1 {
-		c.BurstFactor = 1.2
-	}
-	c.Mix = c.Mix.Sanitized()
-	return c
 }
 
 // Diurnal is a 24-hour demand multiplier profile: overnight trough, evening
@@ -112,7 +87,6 @@ type Model struct {
 // is calibrated to the offnet-servable share of peak demand times the
 // provisioning ratio, reproducing "offnets run near capacity".
 func Build(d *hypergiant.Deployment, cfg Config) *Model {
-	cfg = cfg.sanitized()
 	m := &Model{
 		cfg:      cfg,
 		dep:      d,

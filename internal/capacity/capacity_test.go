@@ -95,7 +95,7 @@ func TestOffPeakServedLocally(t *testing.T) {
 	_, m := buildModel(t, 1)
 	flows := m.Serve(Diurnal[3], nil, nil)
 	for _, f := range flows {
-		wantOffnet := f.Demand * f.HG.OffnetFraction()
+		wantOffnet := f.Demand * m.cfg.Mix.OffnetFraction(f.HG)
 		if math.Abs(f.Offnet-wantOffnet) > 1e-6 {
 			t.Fatalf("trough flow should be fully cache-served: %+v", f)
 		}

@@ -4,8 +4,8 @@ import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the capacity-model calibration a resolved spec
 // declares: demand from the deployment section, provisioning and burst
-// tolerance from the traffic section. With the default scenario it equals
-// DefaultConfig(seed) plus the equivalent default mix.
+// tolerance from the traffic section. It is the only constructor of a
+// Config.
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	return Config{
 		Seed:               seed,
@@ -15,3 +15,6 @@ func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 		Mix:                sp.Mix(),
 	}
 }
+
+// DefaultConfig is the default scenario's capacity-model calibration.
+func DefaultConfig(seed int64) Config { return ConfigFromScenario(scenario.Default(), seed) }

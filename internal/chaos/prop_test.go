@@ -21,6 +21,7 @@ import (
 	"offnetrisk/internal/offnetmap"
 	"offnetrisk/internal/rngutil"
 	"offnetrisk/internal/scan"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/tracert"
 	"offnetrisk/internal/traffic"
 )
@@ -47,7 +48,7 @@ func propFixture(t *testing.T) (*inet.World, *hypergiant.Deployment, []scan.Reco
 			t.Fatal(err)
 		}
 		fixture.d = d
-		recs, err := scan.Simulate(d, scan.DefaultConfig(7))
+		recs, err := scan.Simulate(d, scan.ConfigFromScenario(scenario.Default(), 7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func randomProfile(i int64) chaos.Profile {
 func pingCampaign(t *testing.T, inj *chaos.Injector) *mlab.Campaign {
 	t.Helper()
 	_, d, _, sites := propFixture(t)
-	cfg := mlab.DefaultConfig(7)
+	cfg := mlab.ConfigFromScenario(scenario.Default(), 7)
 	cfg.Probes = 4
 	cfg.MinSites = 25
 	cfg.Workers = 4
@@ -223,7 +224,7 @@ func TestPropertyColocClustersExcludeDropped(t *testing.T) {
 		prof := randomProfile(1000 + i)
 		inj := chaos.New(prof, rngutil.Derive(propSeed, 3, i))
 		c := pingCampaign(t, inj)
-		a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.9}, 1, traffic.DefaultMix())
+		a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.9}, 1, scenario.Default().Mix())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +300,7 @@ func TestPropertyTracertFunnelsBalanced(t *testing.T) {
 		obs.Default.Reset()
 		prof := randomProfile(2000 + i)
 		inj := chaos.New(prof, rngutil.Derive(propSeed, 5, i))
-		cfg := tracert.DefaultConfig(7)
+		cfg := tracert.ConfigFromScenario(scenario.Default(), 7)
 		cfg.VMs = 6
 		cfg.TargetsPerISP = 2
 		cfg.Workers = 4

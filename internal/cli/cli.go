@@ -158,15 +158,7 @@ func (c *Common) WorldConfig() (inet.Config, error) {
 	if err != nil {
 		return inet.Config{}, err
 	}
-	var cfg inet.Config
-	switch {
-	case c.Tiny:
-		cfg = inet.TinyConfig(c.Seed)
-	case c.Large:
-		cfg = inet.LargeConfig(c.Seed)
-	default:
-		cfg = inet.ConfigFromScenario(sp, c.Seed)
-	}
+	cfg := inet.ConfigFromScenario(c.Scale().WorldSpec(sp), c.Seed)
 	cfg.Shards = c.Shards
 	cfg.GenWorkers = c.Workers
 	return cfg, nil

@@ -130,7 +130,7 @@ type ispScratch struct {
 // AnalyzeMixContext clusters every usable ISP at each ξ. MinPts is fixed at
 // the paper's n_min = 2. Facility traffic shares come from mix, so scenario
 // worlds report shares consistent with their own traffic section;
-// traffic.DefaultMix() gives the paper's constants.
+// scenario.Default().Mix() gives the paper's constants.
 //
 // The analysis fans out one ISP per task (ascending ASN): each task builds
 // its own distance matrix and OPTICS ordering, touching nothing shared, so
@@ -139,7 +139,6 @@ type ispScratch struct {
 // the exclusion — not on ξ — so both are computed once per ISP and the
 // per-ξ work is just the steepness extraction over the shared ordering.
 func AnalyzeMixContext(ctx context.Context, w *inet.World, c *mlab.Campaign, xis []float64, workers int, mix traffic.Mix) (*Analysis, error) {
-	mix = mix.Sanitized()
 	a := &Analysis{Xis: xis, PerISP: make(map[inet.ASN]*ISPResult)}
 	mISPsAnalyzed.Add(int64(len(c.ByISP)))
 	asns := make([]inet.ASN, 0, len(c.ByISP))

@@ -8,6 +8,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/stats"
 	"offnetrisk/internal/traffic"
 )
@@ -20,11 +21,11 @@ func fullPipeline(t *testing.T, seed int64) (*hypergiant.Deployment, *mlab.Campa
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, seed), mlab.DefaultConfig(seed))
+	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, seed), mlab.ConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	a, err := AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, scenario.Default().Mix())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +248,7 @@ func TestFigure2CCDF(t *testing.T) {
 		}
 		// Max possible single-facility share is the all-four sum ≈ 0.52.
 		for _, p := range ccdf {
-			if p.X > traffic.CombinedFacilityShare(traffic.All)+1e-9 {
+			if p.X > scenario.Default().Mix().CombinedFacilityShare(traffic.All)+1e-9 {
 				t.Errorf("facility share %v exceeds the four-HG maximum", p.X)
 			}
 		}

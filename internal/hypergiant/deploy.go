@@ -11,7 +11,8 @@ import (
 	"offnetrisk/internal/traffic"
 )
 
-// DeployConfig tunes the deployment layer.
+// DeployConfig tunes the deployment layer. Its values come from a scenario
+// spec (DeployConfigFromScenario); Deploy uses them as given.
 type DeployConfig struct {
 	// Seed drives all placement randomness. The same seed at both epochs
 	// produces nested footprints (2023 extends 2021), matching the
@@ -30,55 +31,16 @@ type DeployConfig struct {
 	// AnycastFraction is the probability an address yields impossible
 	// latencies (1.9K/261K in the paper).
 	AnycastFraction float64
-	// Mix is the traffic mix demand is computed against; the zero Mix means
-	// the paper's published constants.
+	// Mix is the traffic mix demand is computed against.
 	Mix traffic.Mix
-	// PNICapacityScale multiplies every private interconnect's capacity
-	// (scenario knob; 0 means the neutral 1.0).
+	// PNICapacityScale multiplies every private interconnect's capacity.
 	PNICapacityScale float64
 	// TransitCoverageScale scales how many transit providers host offnets
-	// relative to the epoch's access coverage (0 means the default 0.8).
+	// relative to the epoch's access coverage.
 	TransitCoverageScale float64
-	// Profiles overrides the hypergiants' deployment profiles; nil means the
-	// compiled-in Profiles().
+	// Profiles are the hypergiants' deployment profiles. A hypergiant
+	// missing from the map deploys nothing.
 	Profiles map[traffic.HG]Profile
-}
-
-// DefaultDeployConfig returns the configuration used by the experiments.
-func DefaultDeployConfig(seed int64) DeployConfig {
-	return DeployConfig{
-		Seed:                 seed,
-		PeakMbpsPerUser:      0.3,
-		ColocationPropensity: 0.86,
-		ResponsiveFraction:   0.955,
-		AnycastFraction:      0.007,
-	}
-}
-
-func (c DeployConfig) sanitized() DeployConfig {
-	if c.PeakMbpsPerUser <= 0 {
-		c.PeakMbpsPerUser = 0.3
-	}
-	if c.ColocationPropensity <= 0 || c.ColocationPropensity > 1 {
-		c.ColocationPropensity = 0.86
-	}
-	if c.ResponsiveFraction <= 0 || c.ResponsiveFraction > 1 {
-		c.ResponsiveFraction = 0.955
-	}
-	if c.AnycastFraction < 0 || c.AnycastFraction >= 1 {
-		c.AnycastFraction = 0.007
-	}
-	c.Mix = c.Mix.Sanitized()
-	if c.PNICapacityScale <= 0 {
-		c.PNICapacityScale = 1.0
-	}
-	if c.TransitCoverageScale <= 0 || c.TransitCoverageScale > 1 {
-		c.TransitCoverageScale = 0.8
-	}
-	if c.Profiles == nil {
-		c.Profiles = Profiles()
-	}
-	return c
 }
 
 // Deploy places all four hypergiants' offnets into the world at the given
@@ -86,7 +48,6 @@ func (c DeployConfig) sanitized() DeployConfig {
 // IXP memberships, host address allocations), so deploy each epoch into a
 // freshly generated world.
 func Deploy(w *inet.World, epoch Epoch, cfg DeployConfig) (*Deployment, error) {
-	cfg = cfg.sanitized()
 	if epoch != Epoch2021 && epoch != Epoch2023 {
 		return nil, fmt.Errorf("hypergiant: unknown epoch %d", epoch)
 	}

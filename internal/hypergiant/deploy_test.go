@@ -321,7 +321,7 @@ func TestPNICapacityMixture(t *testing.T) {
 		isp := d.World.ISPs[p.ISP]
 		// PNIs carry the interdomain share of demand (offnets hold the
 		// cacheable part); §4.2.2's deficits are relative to that load.
-		demand := isp.Users * p.HG.Share() * cfg.PeakMbpsPerUser / 1000 * p.HG.SteadyInterdomainShare()
+		demand := isp.Users * cfg.Mix.Share(p.HG) * cfg.PeakMbpsPerUser / 1000 * cfg.Mix.SteadyInterdomainShare(p.HG)
 		if isp.Tier != inet.TierAccess {
 			continue
 		}

@@ -11,21 +11,20 @@ import (
 // Profile captures a hypergiant's deployment behaviour: how broadly it
 // deploys at each epoch, how its boxes are sized, and the certificates it
 // installs — including the naming changes between 2021 and 2023 that broke
-// the original discovery methodology.
+// the original discovery methodology. The world-shaped fields come from a
+// scenario spec (ProfilesFromScenario); the certificate conventions are
+// compiled in (Profiles).
 type Profile struct {
 	HG traffic.HG
 	// Coverage is the fraction of access ISPs hosting offnets at each
-	// epoch. Ratios between epochs reproduce Table 1's growth: Google
-	// +23.2%, Netflix +37.4%, Meta +16.9%, Akamai +0.0%.
+	// epoch.
 	Coverage map[Epoch]float64
 	// ServerGbps is the per-server serving capacity.
 	ServerGbps float64
 	// MaxServersPerISP caps a deployment's size in one ISP.
 	MaxServersPerISP int
 	// LegacySpread is the probability that a deployment predates current
-	// colocation practice and sits in a non-primary facility; highest for
-	// Akamai, whose "deployments date from many years before the other
-	// hypergiants began deploying offnets".
+	// colocation practice and sits in a non-primary facility.
 	LegacySpread float64
 	// OnnetOrg is the Organization entry on the hypergiant's own (onnet)
 	// certificates.
@@ -35,47 +34,30 @@ type Profile struct {
 	OnnetDomains []string
 }
 
-// Profiles returns the four hypergiants' deployment profiles. The coverage
-// numbers are calibrated so that the ratio 2023/2021 matches Table 1 and the
-// relative order of footprints (Google > Netflix ≳ Meta > Akamai in 2023)
-// holds.
+// Profiles returns the four hypergiants' certificate conventions: the
+// identity and onnet naming of each Profile. The world-shaped fields are
+// left zero; ProfilesFromScenario fills them from a spec.
 func Profiles() map[traffic.HG]Profile {
 	return map[traffic.HG]Profile{
 		traffic.Google: {
-			HG:               traffic.Google,
-			Coverage:         map[Epoch]float64{Epoch2021: 0.62, Epoch2023: 0.62 * 1.232},
-			ServerGbps:       9,
-			MaxServersPerISP: 24,
-			LegacySpread:     0.10,
-			OnnetOrg:         "Google LLC",
-			OnnetDomains:     []string{"www.google.com", "youtube.com", "ggc.google.com"},
+			HG:           traffic.Google,
+			OnnetOrg:     "Google LLC",
+			OnnetDomains: []string{"www.google.com", "youtube.com", "ggc.google.com"},
 		},
 		traffic.Netflix: {
-			HG:               traffic.Netflix,
-			Coverage:         map[Epoch]float64{Epoch2021: 0.345, Epoch2023: 0.345 * 1.374},
-			ServerGbps:       18,
-			MaxServersPerISP: 10,
-			LegacySpread:     0.08,
-			OnnetOrg:         "Netflix, Inc.",
-			OnnetDomains:     []string{"netflix.com", "nflxvideo.net"},
+			HG:           traffic.Netflix,
+			OnnetOrg:     "Netflix, Inc.",
+			OnnetDomains: []string{"netflix.com", "nflxvideo.net"},
 		},
 		traffic.Meta: {
-			HG:               traffic.Meta,
-			Coverage:         map[Epoch]float64{Epoch2021: 0.36, Epoch2023: 0.36 * 1.169},
-			ServerGbps:       10,
-			MaxServersPerISP: 16,
-			LegacySpread:     0.08,
-			OnnetOrg:         "Meta Platforms, Inc.",
-			OnnetDomains:     []string{"facebook.com", "instagram.com", "star.c10r.facebook.com"},
+			HG:           traffic.Meta,
+			OnnetOrg:     "Meta Platforms, Inc.",
+			OnnetDomains: []string{"facebook.com", "instagram.com", "star.c10r.facebook.com"},
 		},
 		traffic.Akamai: {
-			HG:               traffic.Akamai,
-			Coverage:         map[Epoch]float64{Epoch2021: 0.178, Epoch2023: 0.178},
-			ServerGbps:       6,
-			MaxServersPerISP: 30,
-			LegacySpread:     0.45,
-			OnnetOrg:         "Akamai Technologies, Inc.",
-			OnnetDomains:     []string{"a248.e.akamai.net", "akamaiedge.net"},
+			HG:           traffic.Akamai,
+			OnnetOrg:     "Akamai Technologies, Inc.",
+			OnnetDomains: []string{"a248.e.akamai.net", "akamaiedge.net"},
 		},
 	}
 }

@@ -6,9 +6,9 @@ import (
 )
 
 // ProfilesFromScenario builds the hypergiants' deployment profiles from a
-// resolved spec. The spec overrides the world-shaped fields (coverage,
-// server sizing, legacy spread); certificate conventions stay compiled in —
-// they encode the measurement methodology, not the world.
+// resolved spec: the spec supplies the world-shaped fields (coverage,
+// server sizing, legacy spread) and Profiles the compiled-in certificate
+// conventions, which encode the measurement methodology, not the world.
 func ProfilesFromScenario(sp *scenario.Spec) map[traffic.HG]Profile {
 	profiles := Profiles()
 	for _, hg := range traffic.All {
@@ -27,9 +27,7 @@ func ProfilesFromScenario(sp *scenario.Spec) map[traffic.HG]Profile {
 }
 
 // DeployConfigFromScenario builds the deployment configuration a resolved
-// spec declares. With the default scenario it equals
-// DefaultDeployConfig(seed) after sanitizing, so defaulted pipelines are
-// byte-identical to the constant-based path.
+// spec declares. It is the only constructor of a DeployConfig.
 func DeployConfigFromScenario(sp *scenario.Spec, seed int64) DeployConfig {
 	return DeployConfig{
 		Seed:                 seed,
@@ -42,4 +40,9 @@ func DeployConfigFromScenario(sp *scenario.Spec, seed int64) DeployConfig {
 		TransitCoverageScale: sp.Deployment.TransitCoverageScale,
 		Profiles:             ProfilesFromScenario(sp),
 	}
+}
+
+// DefaultDeployConfig is the default scenario's deployment configuration.
+func DefaultDeployConfig(seed int64) DeployConfig {
+	return DeployConfigFromScenario(scenario.Default(), seed)
 }

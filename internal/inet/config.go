@@ -1,9 +1,10 @@
 package inet
 
-// Config controls synthetic Internet generation. The defaults produce a
-// world sized for laptop-scale experiments while keeping the structural
-// ratios the paper measures (thousands of access ISPs, tens of IXPs, a
-// handful of backbones).
+// Config controls synthetic Internet generation. Its values come from a
+// scenario spec's topology section (ConfigFromScenario); the registry's
+// worlds are sized for laptop-scale experiments while keeping the
+// structural ratios the paper measures (thousands of access ISPs, tens of
+// IXPs, a handful of backbones).
 type Config struct {
 	// Seed drives every random draw; equal seeds produce identical worlds.
 	Seed int64
@@ -41,94 +42,4 @@ type Config struct {
 	// GenWorkers bounds the worker pool building shards; <= 0 means
 	// GOMAXPROCS. Output-invariant. Ignored by the legacy builder.
 	GenWorkers int
-}
-
-// DefaultConfig returns the world used by the command-line tools: large
-// enough for stable statistics, small enough to run in seconds.
-func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      900,
-		TransitISPs:     48,
-		Backbones:       8,
-		IXPs:            36,
-		TotalUsers:      3.0e9,
-		ZipfExponent:    1.05,
-		UsersPerSlash24: 8000,
-	}
-}
-
-// LargeConfig returns a world sized closer to the paper's datasets (still
-// laptop-feasible: the colocation pipeline takes on the order of a minute).
-func LargeConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      2400,
-		TransitISPs:     96,
-		Backbones:       10,
-		IXPs:            60,
-		TotalUsers:      4.2e9,
-		ZipfExponent:    1.05,
-		UsersPerSlash24: 8000,
-	}
-}
-
-// HugeConfig returns the `huge` scale tier: 50x+ the default entity counts,
-// with the biggest access ISPs weighing in at hundreds of millions of users,
-// generated by the sharded builder. Worlds this size are meant to be
-// generated once, spilled to a snapshot (WriteWorldFile), and streamed back
-// by campaigns instead of re-synthesized.
-func HugeConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      48000,
-		TransitISPs:     2400,
-		Backbones:       64,
-		IXPs:            720,
-		TotalUsers:      5.0e9,
-		ZipfExponent:    1.05,
-		UsersPerSlash24: 8000,
-		Sharded:         true,
-	}
-}
-
-// TinyConfig returns a miniature world for unit tests.
-func TinyConfig(seed int64) Config {
-	return Config{
-		Seed:            seed,
-		AccessISPs:      60,
-		TransitISPs:     10,
-		Backbones:       3,
-		IXPs:            8,
-		TotalUsers:      2.0e8,
-		ZipfExponent:    1.0,
-		UsersPerSlash24: 8000,
-	}
-}
-
-// sanitized fills zero or nonsense fields with the TinyConfig values, so a
-// zero-valued Config and the tiny world agree field for field.
-func (c Config) sanitized() Config {
-	if c.AccessISPs <= 0 {
-		c.AccessISPs = 60
-	}
-	if c.TransitISPs <= 0 {
-		c.TransitISPs = 10
-	}
-	if c.Backbones <= 0 {
-		c.Backbones = 3
-	}
-	if c.IXPs <= 0 {
-		c.IXPs = 8
-	}
-	if c.TotalUsers <= 0 {
-		c.TotalUsers = 2.0e8
-	}
-	if c.ZipfExponent <= 0 {
-		c.ZipfExponent = 1.0
-	}
-	if c.UsersPerSlash24 <= 0 {
-		c.UsersPerSlash24 = 8000
-	}
-	return c
 }

@@ -6,55 +6,32 @@ import (
 	"offnetrisk/internal/scenario"
 )
 
-// TestSanitizedMatchesTiny: the zero-config fallbacks are exactly the tiny
-// world, field by field, and real values pass through untouched.
-func TestSanitizedMatchesTiny(t *testing.T) {
-	tiny := TinyConfig(0)
-	cases := []struct {
-		name string
-		in   Config
-		want Config
-	}{
-		{"zero config becomes tiny", Config{}, tiny},
-		{"negative counts become tiny", Config{
-			AccessISPs: -1, TransitISPs: -1, Backbones: -1, IXPs: -1,
-			TotalUsers: -1, ZipfExponent: -1, UsersPerSlash24: -1,
-		}, tiny},
-		{"valid config passes through", DefaultConfig(3), DefaultConfig(3)},
-		{"partial zero fills only the holes", Config{
-			Seed: 9, AccessISPs: 200, TotalUsers: 1e9,
-		}, Config{
-			Seed: 9, AccessISPs: 200, TransitISPs: tiny.TransitISPs,
-			Backbones: tiny.Backbones, IXPs: tiny.IXPs, TotalUsers: 1e9,
-			ZipfExponent: tiny.ZipfExponent, UsersPerSlash24: tiny.UsersPerSlash24,
-		}},
-	}
-	for _, tc := range cases {
-		got := tc.in.sanitized()
-		got.Seed = tc.want.Seed
-		if got != tc.want {
-			t.Errorf("%s: sanitized() = %+v, want %+v", tc.name, got, tc.want)
+// TestConfigFromScenario: every registry scenario's topology section reaches
+// the generation config field for field, and TinyConfig is the tiny
+// scenario's world.
+func TestConfigFromScenario(t *testing.T) {
+	for _, name := range scenario.Names() {
+		sp := scenario.MustLookup(name)
+		tp := sp.Topology
+		want := Config{
+			Seed: 42, AccessISPs: tp.AccessISPs, TransitISPs: tp.TransitISPs,
+			Backbones: tp.Backbones, IXPs: tp.IXPs, TotalUsers: tp.TotalUsers,
+			ZipfExponent: tp.ZipfExponent, UsersPerSlash24: tp.UsersPerSlash24,
+			Sharded: tp.Sharded,
 		}
+		if got := ConfigFromScenario(sp, 42); got != want {
+			t.Errorf("ConfigFromScenario(%s) = %+v, want %+v", name, got, want)
+		}
+	}
+	if got, want := TinyConfig(7), ConfigFromScenario(scenario.MustLookup("tiny"), 7); got != want {
+		t.Errorf("TinyConfig = %+v, want the tiny scenario's %+v", got, want)
+	}
+	if !ConfigFromScenario(scenario.MustLookup("huge"), 1).Sharded {
+		t.Error("the huge scenario must select the sharded builder")
 	}
 }
 
-// TestConfigFromScenario: the registry's default/tiny/large scenarios
-// reproduce the hand-written constructors exactly — the topology half of the
-// byte-compatibility contract.
-func TestConfigFromScenario(t *testing.T) {
-	cases := []struct {
-		scenario string
-		want     Config
-	}{
-		{"default", DefaultConfig(42)},
-		{"tiny", TinyConfig(42)},
-		{"large", LargeConfig(42)},
-		{"huge", HugeConfig(42)},
-	}
-	for _, tc := range cases {
-		sp := scenario.MustLookup(tc.scenario)
-		if got := ConfigFromScenario(sp, 42); got != tc.want {
-			t.Errorf("ConfigFromScenario(%s) = %+v, want %+v", tc.scenario, got, tc.want)
-		}
-	}
+// scenarioConfig is the named registry scenario's world config.
+func scenarioConfig(name string, seed int64) Config {
+	return ConfigFromScenario(scenario.MustLookup(name), seed)
 }

@@ -37,7 +37,6 @@ const (
 // entity and builds shards in parallel; its output is invariant to both the
 // shard count and the worker count. See DESIGN.md §12.
 func Generate(cfg Config) *World {
-	cfg = cfg.sanitized()
 	if cfg.Sharded {
 		return generateSharded(cfg)
 	}

@@ -15,7 +15,7 @@ import (
 // multi-core ones).
 func BenchmarkWorldGenerate(b *testing.B) {
 	b.Run("legacy", func(b *testing.B) {
-		cfg := DefaultConfig(42)
+		cfg := scenarioConfig("default", 42)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -28,7 +28,7 @@ func BenchmarkWorldGenerate(b *testing.B) {
 	}
 	for _, sh := range shardCounts {
 		b.Run(fmt.Sprintf("sharded/shards=%d", sh), func(b *testing.B) {
-			cfg := DefaultConfig(42)
+			cfg := scenarioConfig("default", 42)
 			cfg.Sharded = true
 			cfg.Shards = sh
 			cfg.GenWorkers = sh

@@ -1,6 +1,7 @@
 package inet
 
 import (
+	"math"
 	"testing"
 
 	"offnetrisk/internal/geo"
@@ -389,6 +390,47 @@ func TestUserAccounting(t *testing.T) {
 	set := map[ASN]bool{w.AccessISPs()[0].ASN: true, w.AccessISPs()[1].ASN: false}
 	if got := w.UsersInISPs(set); got != w.AccessISPs()[0].Users {
 		t.Errorf("UsersInISPs honours false entries: got %v", got)
+	}
+}
+
+// TestUserSumsDeterministic: every user-population sum adds in
+// ascending-ASN order, so repeated calls agree to the bit with an
+// ASN-ordered reference. Map-order summation differs in the last ulp from
+// call to call on the same world.
+func TestUserSumsDeterministic(t *testing.T) {
+	w := tinyWorld(t)
+	var wantTotal float64
+	wantCountry := map[string]float64{}
+	set := map[ASN]bool{}
+	var wantSet float64
+	for i, isp := range w.ISPList() { // ascending ASN
+		if !isp.IsAccess() {
+			continue
+		}
+		wantTotal += isp.Users
+		wantCountry[isp.Country] += isp.Users
+		if i%2 == 0 {
+			set[isp.ASN] = true
+			wantSet += isp.Users
+		}
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for i := 0; i < 50; i++ {
+		if got := w.TotalUsers(); !same(got, wantTotal) {
+			t.Fatalf("call %d: TotalUsers = %v, want %v", i, got, wantTotal)
+		}
+		got := w.CountryUsers()
+		if len(got) != len(wantCountry) {
+			t.Fatalf("call %d: CountryUsers has %d countries, want %d", i, len(got), len(wantCountry))
+		}
+		for c, v := range wantCountry {
+			if !same(got[c], v) {
+				t.Fatalf("call %d: CountryUsers[%s] = %v, want %v", i, c, got[c], v)
+			}
+		}
+		if got := w.UsersInISPs(set); !same(got, wantSet) {
+			t.Fatalf("call %d: UsersInISPs = %v, want %v", i, got, wantSet)
+		}
 	}
 }
 

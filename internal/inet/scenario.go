@@ -3,8 +3,7 @@ package inet
 import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the generation config a resolved spec's topology
-// section declares. With the registry's default/tiny/large/huge scenarios it
-// equals DefaultConfig/TinyConfig/LargeConfig/HugeConfig field for field.
+// section declares. It is the only constructor of a world config.
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	t := sp.Topology
 	return Config{
@@ -19,3 +18,7 @@ func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 		Sharded:         t.Sharded,
 	}
 }
+
+// TinyConfig is the registry's tiny world: the miniature topology unit tests
+// and benchmarks build.
+func TinyConfig(seed int64) Config { return ConfigFromScenario(scenario.MustLookup("tiny"), seed) }

@@ -55,7 +55,7 @@ func TestShardCompositionDeterminismHuge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("huge-tier composition sweep skipped in -short mode")
 	}
-	cfg := HugeConfig(42)
+	cfg := scenarioConfig("huge", 42)
 	cfg.Shards, cfg.GenWorkers = 1, 4
 	ref := worldHash(t, cfg)
 	for _, sh := range []int{7, defaultShards} {

@@ -169,7 +169,6 @@ func hint(n int) int { return min(n, snapMaxHint) }
 // bytes: equal snapshotConfigs generate byte-identical worlds. Shards and
 // GenWorkers are parallelism knobs, not world parameters.
 func snapshotConfig(c Config) Config {
-	c = c.sanitized()
 	c.Shards, c.GenWorkers = 0, 0
 	return c
 }

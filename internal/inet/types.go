@@ -307,24 +307,22 @@ func (w *World) UsersInISPs(set map[ASN]bool) float64 {
 	return total
 }
 
-// TotalUsers sums the user population across all access ISPs.
+// TotalUsers sums the user population across all access ISPs, in
+// ascending-ASN order so the float sum is the same on every call.
 func (w *World) TotalUsers() float64 {
 	var total float64
-	for _, isp := range w.ISPs {
-		if isp.IsAccess() {
-			total += isp.Users
-		}
+	for _, isp := range w.AccessISPs() {
+		total += isp.Users
 	}
 	return total
 }
 
-// CountryUsers returns the total access-ISP user population per country.
+// CountryUsers returns the total access-ISP user population per country,
+// each summed in ascending-ASN order.
 func (w *World) CountryUsers() map[string]float64 {
 	out := make(map[string]float64)
-	for _, isp := range w.ISPs {
-		if isp.IsAccess() {
-			out[isp.Country] += isp.Users
-		}
+	for _, isp := range w.AccessISPs() {
+		out[isp.Country] += isp.Users
 	}
 	return out
 }

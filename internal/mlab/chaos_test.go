@@ -12,6 +12,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/scenario"
 )
 
 func chaosInjector(t *testing.T, profile string, seed int64) *chaos.Injector {
@@ -71,7 +72,7 @@ func TestCampaignChaosDeterministicAcrossWorkers(t *testing.T) {
 
 			state := func(workers int) []byte {
 				obs.Default.Reset()
-				cfg := DefaultConfig(7)
+				cfg := ConfigFromScenario(scenario.Default(), 7)
 				cfg.Workers = workers
 				cfg.Chaos = chaosInjector(t, "heavy", 11)
 				c, err := MeasureContext(context.Background(), d, sites, cfg)
@@ -124,7 +125,7 @@ func TestCampaignChaosRetrySingleCount(t *testing.T) {
 		Name: "retry", TransientProb: 0.4, BlackoutProb: 0.05,
 		Retry: chaos.RetryPolicy{MaxAttempts: 3}, // zero backoff: no sleeping
 	}, 11)
-	cfg := DefaultConfig(7)
+	cfg := ConfigFromScenario(scenario.Default(), 7)
 	cfg.Chaos = inj
 	c, err := MeasureContext(context.Background(), d, Sites(163, 7), cfg)
 	if err != nil {
@@ -174,7 +175,7 @@ func TestCampaignChaosOffUnchanged(t *testing.T) {
 
 	run := func(inj *chaos.Injector) []byte {
 		obs.Default.Reset()
-		cfg := DefaultConfig(7)
+		cfg := ConfigFromScenario(scenario.Default(), 7)
 		cfg.Chaos = inj
 		c, err := MeasureContext(context.Background(), d, sites, cfg)
 		if err != nil {

@@ -97,7 +97,8 @@ const (
 	StatMedian
 )
 
-// Config controls the campaign.
+// Config controls the campaign. Its values come from a scenario spec
+// (ConfigFromScenario); MeasureContext uses them as given.
 type Config struct {
 	// Seed drives probe noise.
 	Seed int64
@@ -121,24 +122,6 @@ type Config struct {
 	// are pure per-item hashes on streams separate from the probe noise, so
 	// unaffected targets measure byte-identically to a clean run.
 	Chaos *chaos.Injector
-}
-
-// DefaultConfig mirrors Appendix A with 163 sites assumed.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, Probes: 8, ProbeLoss: 0.01, MinSites: 100}
-}
-
-func (c Config) sanitized() Config {
-	if c.Probes <= 0 {
-		c.Probes = 8
-	}
-	if c.ProbeLoss < 0 || c.ProbeLoss >= 1 {
-		c.ProbeLoss = 0.01
-	}
-	if c.MinSites <= 0 {
-		c.MinSites = 100
-	}
-	return c
 }
 
 // Measurement is the per-target latency vector: RTT in milliseconds per
@@ -179,7 +162,6 @@ type Campaign struct {
 // context is cancelled. Results are merged in deployment order, so they are
 // byte-identical at any worker count.
 func MeasureContext(ctx context.Context, d *hypergiant.Deployment, sites []Site, cfg Config) (*Campaign, error) {
-	cfg = cfg.sanitized()
 	c := &Campaign{
 		Sites:     sites,
 		ByISP:     make(map[inet.ASN][]*Measurement),

@@ -8,6 +8,7 @@ import (
 	"offnetrisk/internal/geo"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -18,7 +19,7 @@ func campaign(t *testing.T, seed int64) (*hypergiant.Deployment, *Campaign) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := MeasureContext(context.Background(), d, Sites(163, seed), DefaultConfig(seed))
+	c, err := MeasureContext(context.Background(), d, Sites(163, seed), ConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestCampaignBasics(t *testing.T) {
 	}
 	for as, ms := range c.ByISP {
 		good := c.GoodSites[as]
-		if len(good) < DefaultConfig(1).MinSites {
+		if len(good) < ConfigFromScenario(scenario.Default(), 1).MinSites {
 			t.Errorf("ISP %d passed gate with %d sites", as, len(good))
 		}
 		for _, m := range ms {
@@ -231,7 +232,7 @@ func TestMinSitesGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	sites := Sites(50, 3) // fewer sites than the gate
-	cfg := DefaultConfig(3)
+	cfg := ConfigFromScenario(scenario.Default(), 3)
 	cfg.MinSites = 100
 	c, err := MeasureContext(context.Background(), d, sites, cfg)
 	if err != nil {
@@ -252,7 +253,7 @@ func TestMeasureEmptyDeployment(t *testing.T) {
 		ContentAS: map[traffic.HG]inet.ASN{},
 	}
 	d.Reindex()
-	c, err := MeasureContext(context.Background(), d, Sites(10, 3), DefaultConfig(3))
+	c, err := MeasureContext(context.Background(), d, Sites(10, 3), ConfigFromScenario(scenario.Default(), 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"offnetrisk/internal/netaddr"
 	"offnetrisk/internal/obs"
 	"offnetrisk/internal/scan"
+	"offnetrisk/internal/scenario"
 )
 
 func chaosScan(t *testing.T) (*inet.World, []scan.Record) {
@@ -20,7 +21,7 @@ func chaosScan(t *testing.T) (*inet.World, []scan.Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := scan.Simulate(d, scan.DefaultConfig(7))
+	recs, err := scan.Simulate(d, scan.ConfigFromScenario(scenario.Default(), 7))
 	if err != nil {
 		t.Fatal(err)
 	}

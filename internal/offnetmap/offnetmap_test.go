@@ -7,6 +7,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/scan"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -18,7 +19,7 @@ func pipeline(t *testing.T, epoch hypergiant.Epoch, seed int64, rules []Rule) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := scan.Simulate(d, scan.DefaultConfig(seed))
+	recs, err := scan.Simulate(d, scan.ConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}

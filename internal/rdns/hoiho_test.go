@@ -6,6 +6,7 @@ import (
 
 	"offnetrisk/internal/geo"
 	"offnetrisk/internal/rngutil"
+	"offnetrisk/internal/scenario"
 )
 
 // ambiguousHost builds hostnames for an operator whose constant brand token
@@ -111,7 +112,7 @@ func TestLearnFromSynthesizedPTRs(t *testing.T) {
 	// geohints paired with facility metros) and check held-out accuracy
 	// matches the dictionary on the standard naming scheme.
 	d := deployForRDNS(t, 1)
-	ptrs := Synthesize(d, DefaultConfig(1))
+	ptrs := Synthesize(d, ConfigFromScenario(scenario.Default(), 1))
 	var samples []TrainingSample
 	for addr, host := range ptrs {
 		for _, s := range d.Servers {

@@ -33,7 +33,8 @@ const lnMetro = "rdns.metro"
 var fMetro = obs.NewLazyFunnel("rdns.metro",
 	"cluster members entering PTR geohint extraction vs. located to a metro")
 
-// Config controls PTR synthesis.
+// Config controls PTR synthesis. Its values come from a scenario spec
+// (ConfigFromScenario); Synthesize uses them as given.
 type Config struct {
 	Seed int64
 	// CoverageFraction is the probability an address has a PTR record at
@@ -47,11 +48,6 @@ type Config struct {
 	StaleFraction float64
 }
 
-// DefaultConfig mirrors the sparse coverage the paper reports.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, CoverageFraction: 0.45, GeoHintFraction: 0.55, StaleFraction: 0.01}
-}
-
 // PTRTable maps addresses to hostnames.
 type PTRTable map[netaddr.Addr]string
 
@@ -59,9 +55,6 @@ type PTRTable map[netaddr.Addr]string
 // Naming follows common operator conventions, using the facility's metro
 // code as the location token (e.g. cache-google-03.lhr2.as10014.example.net).
 func Synthesize(d *hypergiant.Deployment, cfg Config) PTRTable {
-	if cfg.CoverageFraction <= 0 {
-		cfg = DefaultConfig(cfg.Seed)
-	}
 	r := rngutil.New(cfg.Seed ^ 0x9d45)
 	out := make(PTRTable)
 	for i, s := range d.Servers {

@@ -10,7 +10,7 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/mlab"
 	"offnetrisk/internal/netaddr"
-	"offnetrisk/internal/traffic"
+	"offnetrisk/internal/scenario"
 )
 
 func TestExtractMetro(t *testing.T) {
@@ -91,7 +91,7 @@ func TestSynthesizeCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(1)
+	cfg := ConfigFromScenario(scenario.Default(), 1)
 	ptrs := Synthesize(d, cfg)
 	frac := float64(len(ptrs)) / float64(len(d.Servers))
 	if frac < cfg.CoverageFraction-0.1 || frac > cfg.CoverageFraction+0.1 {
@@ -120,15 +120,15 @@ func TestEndToEndValidationMatchesPaperShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, 1), mlab.DefaultConfig(1))
+	c, err := mlab.MeasureContext(context.Background(), d, mlab.Sites(163, 1), mlab.ConfigFromScenario(scenario.Default(), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, traffic.DefaultMix())
+	a, err := coloc.AnalyzeMixContext(context.Background(), w, c, []float64{0.1, 0.9}, 1, scenario.Default().Mix())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ptrs := Synthesize(d, DefaultConfig(1))
+	ptrs := Synthesize(d, ConfigFromScenario(scenario.Default(), 1))
 
 	for _, xi := range []float64{0.1, 0.9} {
 		clusters := make(map[string][][]netaddr.Addr)

@@ -29,7 +29,8 @@ type Record struct {
 	Cert cert.Certificate
 }
 
-// Config controls the synthetic scan.
+// Config controls the synthetic scan. Its values come from a scenario spec
+// (ConfigFromScenario).
 type Config struct {
 	// Seed drives the background-host draw.
 	Seed int64
@@ -41,11 +42,6 @@ type Config struct {
 	// hypergiant's own AS) servers per hypergiant. The methodology must not
 	// count these as offnets.
 	OnnetPerHG int
-}
-
-// DefaultConfig returns the scan configuration used by experiments.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, BackgroundPerISP: 2.5, OnnetPerHG: 20}
 }
 
 // Simulate scans the deployed world: every offnet server, every hypergiant

@@ -6,6 +6,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/rngutil"
+	"offnetrisk/internal/scenario"
 )
 
 func simTiny(t *testing.T, seed int64) (*hypergiant.Deployment, []Record) {
@@ -15,7 +16,7 @@ func simTiny(t *testing.T, seed int64) (*hypergiant.Deployment, []Record) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Simulate(d, DefaultConfig(seed))
+	recs, err := Simulate(d, ConfigFromScenario(scenario.Default(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}

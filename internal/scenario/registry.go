@@ -5,10 +5,17 @@ import (
 	"sort"
 )
 
-// The compiled-in scenario registry. `default` reproduces the previously
-// hard-coded world bit for bit; `tiny` and `large` are its topology
-// variants (the worlds behind -tiny/-large); the rest are named worlds
-// grounded in related work (see PAPERS.md).
+// The compiled-in scenario registry: the only place in the program where a
+// world parameter is written. Every layer (inet, hypergiant, traffic mix,
+// capacity, session and the measurement packages) builds its config from a
+// resolved spec through its ConfigFromScenario constructor; none of them
+// carries a default of its own, and none repairs a zero or out-of-range
+// field. Outside input is checked once, by Spec.Validate.
+//
+// `default` is the paper's world; `tiny` and `large` are its topology
+// variants (the worlds behind -tiny/-large); `huge` is the sharded scale
+// tier; the rest are named worlds grounded in related work (see
+// PAPERS.md).
 //
 // Registry entries are constructed once and handed out as deep copies, so
 // callers can edit a resolved spec without corrupting the registry.
@@ -16,10 +23,9 @@ import (
 // DefaultName is the scenario used when nothing is requested.
 const DefaultName = "default"
 
-// defaultSpec returns the world the reproduction has always built: the
-// constants previously spread across inet.DefaultConfig,
-// hypergiant.DefaultDeployConfig, hypergiant.Profiles, internal/traffic and
-// the measurement packages, in one declarative document.
+// defaultSpec returns the paper's world: its topology, deployment
+// calibration, published traffic constants and measurement campaigns, in
+// one declarative document.
 func defaultSpec() *Spec {
 	return &Spec{
 		Version:     Version,
@@ -41,6 +47,13 @@ func defaultSpec() *Spec {
 			AnycastFraction:      0.007,
 			PNICapacityScale:     1.0,
 			TransitCoverageScale: 0.8,
+			// Coverage is the fraction of access ISPs hosting offnets at
+			// each epoch. The 2023/2021 ratios reproduce Table 1's growth
+			// (Google +23.2%, Netflix +37.4%, Meta +16.9%, Akamai +0.0%),
+			// and the 2023 footprints keep Table 1's order (Google >
+			// Netflix ≳ Meta > Akamai). Akamai's high LegacySpread reflects
+			// deployments that "date from many years before the other
+			// hypergiants began deploying offnets".
 			Hypergiants: map[string]HGProfile{
 				"google": {
 					Coverage2021: 0.62, Coverage2023: 0.62 * 1.232,
@@ -61,15 +74,33 @@ func defaultSpec() *Spec {
 			},
 		},
 		Traffic: Traffic{
+			// Each hypergiant's share of total Internet traffic (§2.1:
+			// "Google serves 21% of Internet traffic, Netflix serves 9%,
+			// and Meta serves 15%. Akamai claims to serve 15-20% of web
+			// traffic" — the paper uses 17.5%).
 			Shares: map[string]float64{
 				"google": 0.21, "netflix": 0.09, "meta": 0.15, "akamai": 0.175,
 			},
+			// The fraction of each hypergiant's traffic its offnets serve
+			// for clients they cover (§2.1/§3.2: Google 80%, Netflix 95%,
+			// Meta 86%, Akamai 75%). Share × OffnetFraction is what a
+			// local offnet serves of a user's traffic: 17%, 9%, 13% and
+			// 13%, or 52% for a facility hosting all four.
 			OffnetFractions: map[string]float64{
 				"google": 0.80, "netflix": 0.95, "meta": 0.86, "akamai": 0.75,
 			},
+			// Slightly below 1: offnets are sized for their normal peak
+			// with essentially no headroom (§4.1), so a sliver of
+			// cacheable traffic already spills interdomain at peak.
 			OffnetProvisioning: 0.92,
-			BurstFactor:        1.2,
+			// The COVID data implies ≈1.2: offnet traffic grew only 20%
+			// under a 58% demand spike (§4.1).
+			BurstFactor: 1.2,
 		},
+		// Measurement campaigns at the paper's scale knobs: 8 probes per
+		// (site, target) and a 100-site usability gate (Appendix A), 112
+		// cloud traceroute VMs (§4.2.1), and sparse reverse-DNS coverage
+		// (§3.2).
 		Measurement: Measurement{
 			PingSites: 163, PingProbes: 8, ProbeLoss: 0.01, MinSites: 100,
 			TracerouteVMs: 112, TargetsPerISP: 4, SilentRouterFraction: 0.15,

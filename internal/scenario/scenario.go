@@ -1,18 +1,19 @@
 // Package scenario is the declarative "which world are we in" layer: a
-// versioned spec that names everything the reproduction used to hard-code —
-// topology scale, per-hypergiant deployment strategy, traffic mix,
-// measurement-campaign parameters, and chaos profile — plus a compiled-in
-// registry of named worlds grounded in related work (Netflix "Open Connect
-// Everywhere" deep-ISP deployments, the Apple iOS-update flash crowd,
-// multi-CDN/meta-CDN delivery, oblivious CDNs).
+// versioned spec that names every world parameter — topology scale,
+// per-hypergiant deployment strategy, traffic mix, measurement-campaign
+// parameters, and chaos profile — plus a compiled-in registry of named
+// worlds grounded in related work (Netflix "Open Connect Everywhere"
+// deep-ISP deployments, the Apple iOS-update flash crowd, multi-CDN/meta-CDN
+// delivery, oblivious CDNs).
 //
+// The registry (registry.go) is the only declaration of those parameters.
 // A resolved Spec is the input contract of the whole pipeline: inet,
-// hypergiant, the measurement packages and offnetrisk.Pipeline all derive
-// their configs from one, the run manifest records its name and content
-// hash, and every named scenario is golden-gated in CI. The `default`
-// scenario reproduces the previously hard-coded constants bit for bit, so
-// runs that never mention a scenario are byte-identical to the code this
-// layer replaced.
+// hypergiant, capacity, session, the measurement packages and
+// offnetrisk.Pipeline each derive their config from one through a single
+// ConfigFromScenario constructor, the run manifest records its name and
+// content hash, and every named scenario is golden-gated in CI. Specs from
+// outside the program are checked once, by Validate; the layers trust the
+// configs they are handed.
 package scenario
 
 import (
@@ -144,6 +145,16 @@ func (s *Spec) Mix() traffic.Mix {
 		m.OffnetFractions[h] = s.Traffic.OffnetFractions[h.Key()]
 	}
 	return m
+}
+
+// WithTopologyOf returns a copy of s whose topology is the named registry
+// scenario's: the world s describes, built at that scenario's scale. It is
+// how -tiny/-large runs and the tiny-world sensitivity sweeps resolve a
+// scenario's world. It panics on a name the registry lacks.
+func (s *Spec) WithTopologyOf(name string) *Spec {
+	c := s.Clone()
+	c.Topology = MustLookup(name).Topology
+	return c
 }
 
 // Profile returns the hypergiant's deployment profile section.

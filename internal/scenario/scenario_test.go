@@ -6,8 +6,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"offnetrisk/internal/traffic"
 )
 
 // TestRegistryResolved: every registry entry is fully resolved and valid —
@@ -254,28 +252,5 @@ func TestResolve(t *testing.T) {
 	}
 	if _, err := Resolve(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file accepted")
-	}
-}
-
-// TestDefaultMatchesConstants: the default scenario reproduces the
-// compiled-in traffic constants bit for bit — the byte-compatibility anchor
-// for every defaulted pipeline.
-func TestDefaultMatchesConstants(t *testing.T) {
-	sp := Default()
-	mix := sp.Mix()
-	want := traffic.DefaultMix()
-	if mix != want {
-		t.Fatalf("default scenario mix %+v differs from traffic.DefaultMix %+v", mix, want)
-	}
-	for _, h := range traffic.All {
-		if got := mix.SteadyInterdomainShare(h); got != h.SteadyInterdomainShare() {
-			t.Errorf("%s steady interdomain share %v != constant %v", h, got, h.SteadyInterdomainShare())
-		}
-		if got := mix.FacilityShare(h); got != h.FacilityShare() {
-			t.Errorf("%s facility share %v != constant %v", h, got, h.FacilityShare())
-		}
-	}
-	if mix.CombinedFacilityShare(traffic.All) != traffic.CombinedFacilityShare(traffic.All) {
-		t.Error("combined facility share differs from the constant-based computation")
 	}
 }

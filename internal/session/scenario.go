@@ -3,15 +3,11 @@ package session
 import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the session-simulation configuration a resolved
-// spec declares. The congestion RTT penalty stays a modeling constant (it
-// calibrates bufferbloat behaviour, not the world). With the default
-// scenario the result equals DefaultConfig(seed) plus the equivalent
-// default mix.
+// spec declares. It is the only constructor of a Config.
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	return Config{
-		Seed:                  seed,
-		PerISP:                sp.Measurement.SessionsPerISP,
-		CongestedRTTPenaltyMs: 80,
-		Mix:                   sp.Mix(),
+		Seed:   seed,
+		PerISP: sp.Measurement.SessionsPerISP,
+		Mix:    sp.Mix(),
 	}
 }

@@ -76,26 +76,22 @@ type QoE struct {
 	DroppedShare float64
 }
 
-// Config sizes the simulation.
+// congestedRTTPenaltyMs is added per unit of over-utilization on a
+// congested shared link (bufferbloat/queueing under overload). It
+// calibrates the session model, not the world, so no spec declares it.
+const congestedRTTPenaltyMs = 80
+
+// Config sizes the simulation. Its values come from a scenario spec
+// (ConfigFromScenario); RunContext uses them as given.
 type Config struct {
-	Seed        int64
-	PerISP      int // sessions per host ISP
-	CongestBase float64
-	// CongestedRTTPenaltyMs is added per unit of over-utilization on a
-	// congested shared link (bufferbloat/queueing under overload).
-	CongestedRTTPenaltyMs float64
+	Seed   int64
+	PerISP int // sessions per host ISP
 	// Workers bounds RunContext's fan-out across host ISPs; <= 0 means
 	// GOMAXPROCS. Each ISP already draws from its own seed-derived RNG
 	// stream, so sessions are identical at any worker count.
 	Workers int
-	// Mix is the traffic mix sessions are drawn against; the zero Mix means
-	// the paper's published constants.
+	// Mix is the traffic mix sessions are drawn against.
 	Mix traffic.Mix
-}
-
-// DefaultConfig returns the simulation defaults.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, PerISP: 40, CongestedRTTPenaltyMs: 80}
 }
 
 // RunContext simulates sessions for every access ISP hosting offnets, under
@@ -104,13 +100,6 @@ func DefaultConfig(seed int64) Config {
 // cfg.Workers goroutines; the per-ISP session batches are concatenated in
 // ascending-ASN order.
 func RunContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment, rep *cascade.Report, cfg Config) ([]Session, error) {
-	if cfg.PerISP <= 0 {
-		cfg.PerISP = 40
-	}
-	if cfg.CongestedRTTPenaltyMs <= 0 {
-		cfg.CongestedRTTPenaltyMs = 80
-	}
-	cfg.Mix = cfg.Mix.Sanitized()
 	w := d.World
 
 	// Index flows by (hg, isp).
@@ -158,7 +147,7 @@ func RunContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment
 					// transit.
 					s := Session{ISP: as, HG: hg, Origin: FromTransit}
 					s.RTTms = onnetRTT(userLoc, r)
-					s.RTTms += transitPenalty(isp, congTr, cfg, r, &s)
+					s.RTTms += transitPenalty(isp, congTr, r, &s)
 					batch = append(batch, s)
 					continue
 				}
@@ -174,16 +163,16 @@ func RunContext(ctx context.Context, m *capacity.Model, d *hypergiant.Deployment
 					s.RTTms = edgeRTT(userLoc, r)
 					if id, ok := m.IXPIDOf[hg][as]; ok {
 						if over, bad := congIXP[id]; bad {
-							s.RTTms += cfg.CongestedRTTPenaltyMs * (1 + over)
+							s.RTTms += congestedRTTPenaltyMs * (1 + over)
 							s.Dropped = r.Float64() < math.Min(0.5, over)
 						}
 					}
 				case FromUpstreamOffnet:
 					s.RTTms = edgeRTT(userLoc, r) + 10
-					s.RTTms += transitPenalty(isp, congTr, cfg, r, &s)
+					s.RTTms += transitPenalty(isp, congTr, r, &s)
 				default:
 					s.RTTms = onnetRTT(userLoc, r)
-					s.RTTms += transitPenalty(isp, congTr, cfg, r, &s)
+					s.RTTms += transitPenalty(isp, congTr, r, &s)
 				}
 				batch = append(batch, s)
 			}
@@ -249,7 +238,7 @@ func onnetRTT(user geo.Point, r interface{ Float64() float64 }) float64 {
 	return base + 5 + 15*r.Float64()
 }
 
-func transitPenalty(isp *inet.ISP, congTr map[inet.ASN]float64, cfg Config, r interface{ Float64() float64 }, s *Session) float64 {
+func transitPenalty(isp *inet.ISP, congTr map[inet.ASN]float64, r interface{ Float64() float64 }, s *Session) float64 {
 	var worst float64
 	for _, prov := range isp.Providers {
 		if over, ok := congTr[prov]; ok && over > worst {
@@ -262,7 +251,7 @@ func transitPenalty(isp *inet.ISP, congTr map[inet.ASN]float64, cfg Config, r in
 	if r.Float64() < math.Min(0.5, worst) {
 		s.Dropped = true
 	}
-	return cfg.CongestedRTTPenaltyMs * (1 + worst)
+	return congestedRTTPenaltyMs * (1 + worst)
 }
 
 // Score reduces sessions to QoE statistics.

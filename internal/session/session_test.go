@@ -8,6 +8,7 @@ import (
 	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -34,7 +35,7 @@ func run(t *testing.T, m *capacity.Model, d *hypergiant.Deployment, rep *cascade
 func TestBaselineQoEHealthy(t *testing.T) {
 	d, m := setup(t, 1)
 	rep := cascade.Simulate(m, d, cascade.DefaultScenario())
-	sessions := run(t, m, d, rep, DefaultConfig(1))
+	sessions := run(t, m, d, rep, ConfigFromScenario(scenario.Default(), 1))
 	if len(sessions) == 0 {
 		t.Fatal("no sessions")
 	}
@@ -66,7 +67,7 @@ func TestFailureDegradesQoE(t *testing.T) {
 	// facilities must raise latency and drop sessions relative to baseline.
 	d, m := setup(t, 1)
 	base := cascade.Simulate(m, d, cascade.DefaultScenario())
-	baseQ := Score(run(t, m, d, base, DefaultConfig(1)))
+	baseQ := Score(run(t, m, d, base, ConfigFromScenario(scenario.Default(), 1)))
 
 	sc := cascade.DefaultScenario()
 	sc.SharedHeadroom = 1.05
@@ -81,7 +82,7 @@ func TestFailureDegradesQoE(t *testing.T) {
 		}
 	}
 	rep := cascade.Simulate(m, d, sc)
-	failQ := Score(run(t, m, d, rep, DefaultConfig(1)))
+	failQ := Score(run(t, m, d, rep, ConfigFromScenario(scenario.Default(), 1)))
 
 	if failQ.OffnetShare >= baseQ.OffnetShare {
 		t.Errorf("offnet share did not fall: %.2f → %.2f", baseQ.OffnetShare, failQ.OffnetShare)
@@ -100,8 +101,8 @@ func TestFailureDegradesQoE(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	d, m := setup(t, 3)
 	rep := cascade.Simulate(m, d, cascade.DefaultScenario())
-	a := run(t, m, d, rep, DefaultConfig(3))
-	b := run(t, m, d, rep, DefaultConfig(3))
+	a := run(t, m, d, rep, ConfigFromScenario(scenario.Default(), 3))
+	b := run(t, m, d, rep, ConfigFromScenario(scenario.Default(), 3))
 	if len(a) != len(b) {
 		t.Fatal("session counts differ")
 	}
@@ -136,7 +137,7 @@ func TestPickHGDistribution(t *testing.T) {
 	r := newCounter()
 	counts := make(map[traffic.HG]int)
 	for i := 0; i < 40000; i++ {
-		counts[pickHG(r, traffic.DefaultMix())]++
+		counts[pickHG(r, scenario.Default().Mix())]++
 	}
 	// Google's share (21%) is over double Netflix's (9%): the draw must
 	// reflect that ordering.

@@ -1,7 +1,10 @@
 // Package sweep runs parameter sweeps over the reproduction's design knobs
 // and records how the paper's headline quantities respond — the sensitivity
 // analysis behind the calibration choices in DESIGN.md. Each sweep rebuilds
-// the affected pipeline per point, deterministically.
+// the run's scenario at the registry's tiny topology, deterministically: the
+// directions a sweep probes are scale-independent, and a sweep at the run's
+// own scale would dominate its runtime. A sweep returns its first error
+// (including ctx's) instead of a partial table.
 package sweep
 
 import (
@@ -13,6 +16,7 @@ import (
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -96,20 +100,30 @@ func sortedKeys(m map[string]float64) []string {
 	return out
 }
 
+// deploy builds sp's world and its 2023 deployment under cfg.
+func deploy(sp *scenario.Spec, cfg hypergiant.DeployConfig) (*hypergiant.Deployment, error) {
+	w := inet.Generate(inet.ConfigFromScenario(sp, cfg.Seed))
+	return hypergiant.Deploy(w, hypergiant.Epoch2023, cfg)
+}
+
 // ColocationPropensity sweeps the probability that ISPs concentrate offnets
 // in their primary facility and reports how ground-truth colocation and the
 // correlated-failure measure respond — the knob behind §3.1's operational
-// story.
-func ColocationPropensity(seed int64, values []float64) (Result, error) {
+// story. Every point deploys sp's world at tiny topology with only the
+// propensity changed.
+func ColocationPropensity(ctx context.Context, sp *scenario.Spec, seed int64, values []float64) (Result, error) {
 	res := Result{Name: "colocation-propensity", Param: "propensity"}
+	sp = sp.WithTopologyOf("tiny")
 	tr := obs.NewTracer()
 	for _, v := range values {
 		point := Point{Param: v}
 		err := timePoint(tr, fmt.Sprintf("propensity=%g", v), &point, func() error {
-			w := inet.Generate(inet.TinyConfig(seed))
-			cfg := hypergiant.DefaultDeployConfig(seed)
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			cfg := hypergiant.DeployConfigFromScenario(sp, seed)
 			cfg.ColocationPropensity = v
-			d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, cfg)
+			d, err := deploy(sp, cfg)
 			if err != nil {
 				return fmt.Errorf("sweep: propensity %v: %w", v, err)
 			}
@@ -128,8 +142,8 @@ func ColocationPropensity(seed int64, values []float64) (Result, error) {
 					allAtTop++
 				}
 			}
-			m := capacity.Build(d, capacity.DefaultConfig(seed))
-			st, err := cascade.SweepContext(context.TODO(), m, d, d.HostingISPs(), 1)
+			m := capacity.Build(d, capacity.ConfigFromScenario(sp, seed))
+			st, err := cascade.SweepContext(ctx, m, d, d.HostingISPs(), 1)
 			if err != nil {
 				return fmt.Errorf("sweep: propensity %v: %w", v, err)
 			}
@@ -150,23 +164,28 @@ func ColocationPropensity(seed int64, values []float64) (Result, error) {
 
 // SharedHeadroom sweeps the spare capacity of shared links and reports the
 // fraction of facility-failure scenarios that congest one — §4.3's argument
-// that headroom, not topology, decides whether spillover cascades.
-func SharedHeadroom(seed int64, values []float64) (Result, error) {
+// that headroom, not topology, decides whether spillover cascades. It
+// deploys sp's world at tiny topology once and fails each hosting ISP's top
+// facility at every point.
+func SharedHeadroom(ctx context.Context, sp *scenario.Spec, seed int64, values []float64) (Result, error) {
 	res := Result{Name: "shared-headroom", Param: "headroom"}
-	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	sp = sp.WithTopologyOf("tiny")
+	d, err := deploy(sp, hypergiant.DeployConfigFromScenario(sp, seed))
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("sweep: headroom: %w", err)
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(seed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(sp, seed))
 	hosts := d.HostingISPs()
 	tr := obs.NewTracer()
 	for _, v := range values {
 		point := Point{Param: v}
-		_ = timePoint(tr, fmt.Sprintf("headroom=%g", v), &point, func() error {
+		err := timePoint(tr, fmt.Sprintf("headroom=%g", v), &point, func() error {
 			var congested, scenarios int
 			var collateral float64
 			for _, as := range hosts {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 				fid, n := cascade.TopFacility(d, as)
 				if n <= 0 {
 					continue
@@ -187,6 +206,9 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 			}
 			return nil
 		})
+		if err != nil {
+			return res, err
+		}
 		res.Points = append(res.Points, point)
 	}
 	return res, nil
@@ -194,19 +216,22 @@ func SharedHeadroom(seed int64, values []float64) (Result, error) {
 
 // DemandSpike sweeps the §4.1 demand multiplier and reports offnet vs
 // interdomain growth — the curve whose 1.58 point is the paper's COVID
-// observation.
-func DemandSpike(seed int64, values []float64) (Result, error) {
+// observation. It replays Netflix's spike over sp's world at tiny topology.
+func DemandSpike(ctx context.Context, sp *scenario.Spec, seed int64, values []float64) (Result, error) {
 	res := Result{Name: "demand-spike", Param: "multiplier"}
-	w := inet.Generate(inet.TinyConfig(seed))
-	d, err := hypergiant.Deploy(w, hypergiant.Epoch2023, hypergiant.DefaultDeployConfig(seed))
+	sp = sp.WithTopologyOf("tiny")
+	d, err := deploy(sp, hypergiant.DeployConfigFromScenario(sp, seed))
 	if err != nil {
-		return res, err
+		return res, fmt.Errorf("sweep: demand spike: %w", err)
 	}
-	m := capacity.Build(d, capacity.DefaultConfig(seed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(sp, seed))
 	tr := obs.NewTracer()
 	for _, v := range values {
 		point := Point{Param: v}
-		_ = timePoint(tr, fmt.Sprintf("multiplier=%g", v), &point, func() error {
+		err := timePoint(tr, fmt.Sprintf("multiplier=%g", v), &point, func() error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			rep := capacity.CovidReplay(m, traffic.Netflix, v)
 			point.Metrics = map[string]float64{
 				"offnet-growth":      rep.OffnetGrowth(),
@@ -214,6 +239,9 @@ func DemandSpike(seed int64, values []float64) (Result, error) {
 			}
 			return nil
 		})
+		if err != nil {
+			return res, err
+		}
 		res.Points = append(res.Points, point)
 	}
 	return res, nil

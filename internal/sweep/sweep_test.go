@@ -1,12 +1,16 @@
 package sweep
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+
+	"offnetrisk/internal/scenario"
 )
 
 func TestColocationPropensitySweep(t *testing.T) {
-	res, err := ColocationPropensity(1, []float64{0.3, 0.9})
+	res, err := ColocationPropensity(context.Background(), scenario.Default(), 1, []float64{0.3, 0.9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +34,7 @@ func TestColocationPropensitySweep(t *testing.T) {
 }
 
 func TestSharedHeadroomSweep(t *testing.T) {
-	res, err := SharedHeadroom(1, []float64{1.02, 1.25, 2.0})
+	res, err := SharedHeadroom(context.Background(), scenario.Default(), 1, []float64{1.02, 1.25, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +54,7 @@ func TestSharedHeadroomSweep(t *testing.T) {
 }
 
 func TestDemandSpikeSweep(t *testing.T) {
-	res, err := DemandSpike(1, []float64{1.0, 1.3, 1.58, 2.0})
+	res, err := DemandSpike(context.Background(), scenario.Default(), 1, []float64{1.0, 1.3, 1.58, 2.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,5 +87,44 @@ func TestResultStringEmpty(t *testing.T) {
 	r := Result{Name: "x", Param: "p"}
 	if !strings.Contains(r.String(), "sweep x") {
 		t.Error("empty sweep renders header")
+	}
+}
+
+// sweepFuncs are the three sweeps under one signature.
+var sweepFuncs = map[string]func(context.Context, *scenario.Spec, int64, []float64) (Result, error){
+	"colocation-propensity": ColocationPropensity,
+	"shared-headroom":       SharedHeadroom,
+	"demand-spike":          DemandSpike,
+}
+
+// TestSweepsHonorCancellation: a cancelled ctx stops every sweep with
+// context.Canceled instead of a partial or empty table.
+func TestSweepsHonorCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, run := range sweepFuncs {
+		if _, err := run(ctx, scenario.Default(), 1, []float64{1.0, 2.0}); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
+	}
+}
+
+// TestSweepsRunTheScenario: a sweep measures the scenario it is handed, so
+// a world with different deployments and traffic yields a different table.
+func TestSweepsRunTheScenario(t *testing.T) {
+	oca := scenario.MustLookup("open-connect-everywhere")
+	for name, run := range sweepFuncs {
+		values := []float64{0.6, 1.58}
+		def, err := run(context.Background(), scenario.Default(), 1, values)
+		if err != nil {
+			t.Fatalf("%s default: %v", name, err)
+		}
+		got, err := run(context.Background(), oca, 1, values)
+		if err != nil {
+			t.Fatalf("%s open-connect-everywhere: %v", name, err)
+		}
+		if got.String() == def.String() {
+			t.Errorf("%s: open-connect-everywhere sweep equals the default's:\n%s", name, got)
+		}
 	}
 }

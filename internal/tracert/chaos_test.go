@@ -12,6 +12,7 @@ import (
 	"offnetrisk/internal/inet"
 	"offnetrisk/internal/netaddr"
 	"offnetrisk/internal/obs"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -42,7 +43,7 @@ func TestSurveyChaosDeterministicAcrossWorkers(t *testing.T) {
 
 	state := func(workers int) []byte {
 		obs.Default.Reset()
-		cfg := DefaultConfig(7)
+		cfg := ConfigFromScenario(scenario.Default(), 7)
 		cfg.VMs = 8
 		cfg.TargetsPerISP = 2
 		cfg.Workers = workers
@@ -77,7 +78,7 @@ func TestSurveyChaosAccounting(t *testing.T) {
 	obs.Default.Reset()
 	w, d := chaosWorld(t)
 	inj := heavyInjector(t, 11)
-	cfg := DefaultConfig(7)
+	cfg := ConfigFromScenario(scenario.Default(), 7)
 	cfg.VMs = 8
 	cfg.TargetsPerISP = 2
 	cfg.Chaos = inj
@@ -140,7 +141,7 @@ func TestSurveyChaosOffUnchanged(t *testing.T) {
 	_, d := chaosWorld(t)
 	run := func(inj *chaos.Injector) []byte {
 		obs.Default.Reset()
-		cfg := DefaultConfig(7)
+		cfg := ConfigFromScenario(scenario.Default(), 7)
 		cfg.VMs = 8
 		cfg.TargetsPerISP = 2
 		cfg.Chaos = inj

@@ -3,8 +3,7 @@ package tracert
 import "offnetrisk/internal/scenario"
 
 // ConfigFromScenario builds the survey configuration a resolved spec's
-// measurement section declares. With the default scenario it equals
-// DefaultConfig(seed).
+// measurement section declares. It is the only constructor of a Config.
 func ConfigFromScenario(sp *scenario.Spec, seed int64) Config {
 	return Config{
 		Seed:                 seed,

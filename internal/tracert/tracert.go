@@ -66,7 +66,8 @@ type Trace struct {
 	Hops   []Hop
 }
 
-// Config controls the survey.
+// Config controls the survey. Its values come from a scenario spec
+// (ConfigFromScenario); SurveyContext uses them as given.
 type Config struct {
 	Seed int64
 	// VMs is the number of cloud regions probed from (112 in the paper).
@@ -90,24 +91,6 @@ type Config struct {
 	Chaos *chaos.Injector
 }
 
-// DefaultConfig mirrors the paper's scale knobs.
-func DefaultConfig(seed int64) Config {
-	return Config{Seed: seed, VMs: 112, TargetsPerISP: 4, SilentRouterFraction: 0.15}
-}
-
-func (c Config) sanitized() Config {
-	if c.VMs <= 0 {
-		c.VMs = 112
-	}
-	if c.TargetsPerISP <= 0 {
-		c.TargetsPerISP = 4
-	}
-	if c.SilentRouterFraction < 0 || c.SilentRouterFraction >= 1 {
-		c.SilentRouterFraction = 0.15
-	}
-	return c
-}
-
 // SurveyContext issues traceroutes from the hypergiant's cloud toward every
 // ISP and returns them grouped by destination ISP. Probes follow the AS
 // paths the Gao-Rexford routing substrate computes over the relationship
@@ -119,7 +102,6 @@ func (c Config) sanitized() Config {
 // ISP's traces; per-ISP trace slices are merged in ascending-ASN order, so
 // the survey is byte-identical at any worker count.
 func SurveyContext(ctx context.Context, d *hypergiant.Deployment, hg traffic.HG, cfg Config) (map[inet.ASN][]Trace, error) {
-	cfg = cfg.sanitized()
 	w := d.World
 	hgAS := d.ContentAS[hg]
 	hgISP := w.ISPs[hgAS]

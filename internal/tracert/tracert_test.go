@@ -6,6 +6,7 @@ import (
 
 	"offnetrisk/internal/hypergiant"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -16,7 +17,7 @@ func surveyTiny(t *testing.T, seed int64) (*hypergiant.Deployment, map[inet.ASN]
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(seed)
+	cfg := ConfigFromScenario(scenario.Default(), seed)
 	cfg.VMs = 24 // keep the tiny survey fast; coverage is still dense
 	traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
 	if err != nil {
@@ -178,21 +179,5 @@ func TestSurveyDeterministic(t *testing.T) {
 		if b[as] != ia {
 			t.Fatalf("inference for AS%d differs: %+v vs %+v", as, ia, b[as])
 		}
-	}
-}
-
-func TestConfigSanitized(t *testing.T) {
-	c := Config{}.sanitized()
-	if c.VMs != 112 || c.TargetsPerISP != 4 {
-		t.Errorf("sanitized defaults wrong: %+v", c)
-	}
-	// Zero silent fraction is a legal "all interfaces respond" setting;
-	// negative and ≥1 values fall back to the default.
-	if c.SilentRouterFraction != 0 {
-		t.Errorf("explicit zero silent fraction must be preserved: %+v", c)
-	}
-	c = Config{SilentRouterFraction: -0.5}.sanitized()
-	if c.SilentRouterFraction != 0.15 {
-		t.Errorf("negative silent fraction not defaulted: %+v", c)
 	}
 }

@@ -1,11 +1,9 @@
 package traffic
 
-// Mix parameterizes the published traffic constants so scenario specs can
-// declare alternative worlds (a Netflix-dominated regional peak, an iOS
-// flash crowd, a multi-CDN split). The zero Mix means "use the paper's
-// numbers": every consumer passes it through Sanitized, and DefaultMix
-// reproduces the HG methods bit for bit, so defaulted pipelines are
-// byte-identical to the constant-based code they replaced.
+// Mix is one world's traffic constants: what each hypergiant carries and
+// how much of it its offnets serve. A scenario spec's traffic section
+// resolves to a Mix (scenario.Spec.Mix); the default spec's is the paper's
+// published numbers.
 type Mix struct {
 	// Shares is each hypergiant's fraction of total Internet traffic.
 	Shares [NumHG]float64
@@ -13,41 +11,9 @@ type Mix struct {
 	// offnets serve for covered clients.
 	OffnetFractions [NumHG]float64
 	// OffnetProvisioning is the economy-wide ratio of offnet capacity to
-	// the cacheable share of peak demand (SteadyOffnetProvisioning in the
-	// default world).
+	// the cacheable share of peak demand. Both the deployment layer
+	// (interconnect sizing) and the capacity model key off it.
 	OffnetProvisioning float64
-}
-
-// DefaultMix returns the paper's published constants as a Mix.
-func DefaultMix() Mix {
-	m := Mix{OffnetProvisioning: SteadyOffnetProvisioning}
-	for _, h := range All {
-		m.Shares[h] = h.Share()
-		m.OffnetFractions[h] = h.OffnetFraction()
-	}
-	return m
-}
-
-// IsZero reports whether the mix carries no data (all shares unset).
-func (m Mix) IsZero() bool {
-	for _, s := range m.Shares {
-		if s != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Sanitized replaces a zero mix with the default and fills an unset
-// provisioning ratio, mirroring the repo-wide zero-config convention.
-func (m Mix) Sanitized() Mix {
-	if m.IsZero() {
-		return DefaultMix()
-	}
-	if m.OffnetProvisioning <= 0 {
-		m.OffnetProvisioning = SteadyOffnetProvisioning
-	}
-	return m
 }
 
 // Share is the hypergiant's fraction of total Internet traffic under this

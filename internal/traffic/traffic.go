@@ -1,10 +1,12 @@
-// Package traffic holds the published traffic constants the paper combines
-// in §2.1 and §3.2: each hypergiant's share of total Internet traffic
-// (Sandvine / Akamai claims) and the fraction of that traffic its offnets
-// can serve (cache efficiency). Their product is the fraction of a user's
-// total traffic a local offnet can deliver, and the sum across hypergiants
-// colocated in one facility is the paper's headline "52% of a user's traffic
-// could be coming from a single facility".
+// Package traffic names the four hypergiants the paper studies and holds
+// the arithmetic the paper applies to their published traffic constants
+// (§2.1, §3.2): a hypergiant's share of total Internet traffic times the
+// fraction its offnets can serve is the fraction of a user's total traffic
+// a local offnet delivers, and the sum across hypergiants colocated in one
+// facility is the paper's headline "52% of a user's traffic could be coming
+// from a single facility". The constants themselves are world parameters:
+// they are declared once, in the scenario registry's default spec, and
+// reach this package as a Mix.
 package traffic
 
 // HG identifies one of the four hypergiants the paper studies.
@@ -36,77 +38,4 @@ func (h HG) String() string {
 	default:
 		return "HG(?)"
 	}
-}
-
-// Share is the hypergiant's fraction of total Internet traffic (§2.1:
-// "Google serves 21% of Internet traffic, Netflix serves 9%, and Meta serves
-// 15%. Akamai claims to serve 15-20% of web traffic" — the paper uses 17.5%).
-func (h HG) Share() float64 {
-	switch h {
-	case Google:
-		return 0.21
-	case Netflix:
-		return 0.09
-	case Meta:
-		return 0.15
-	case Akamai:
-		return 0.175
-	default:
-		return 0
-	}
-}
-
-// OffnetFraction is the fraction of the hypergiant's traffic its offnets
-// serve for clients they cover (§2.1/§3.2: Google 80%, Netflix 95%, Meta
-// 86%, Akamai 75%).
-func (h HG) OffnetFraction() float64 {
-	switch h {
-	case Google:
-		return 0.80
-	case Netflix:
-		return 0.95
-	case Meta:
-		return 0.86
-	case Akamai:
-		return 0.75
-	default:
-		return 0
-	}
-}
-
-// SteadyOffnetProvisioning is the economy-wide ratio of offnet capacity to
-// the cacheable share of peak demand. Slightly below 1: offnets are sized
-// for their normal peak with essentially no headroom (§4.1), so a sliver of
-// cacheable traffic already spills interdomain at peak. Both the deployment
-// layer (interconnect sizing) and the capacity model key off this constant.
-const SteadyOffnetProvisioning = 0.92
-
-// SteadyInterdomainShare is the share of a hypergiant's peak demand crossing
-// interdomain links in steady state: what the offnet cannot or may not
-// serve.
-func (h HG) SteadyInterdomainShare() float64 {
-	return 1 - SteadyOffnetProvisioning*h.OffnetFraction()
-}
-
-// FacilityShare is the fraction of a user's total Internet traffic a local
-// offnet of this hypergiant can serve: Share × OffnetFraction. The paper
-// rounds these to 17% (Google), 9% (Netflix), 13% (Meta), 13% (Akamai).
-func (h HG) FacilityShare() float64 {
-	return h.Share() * h.OffnetFraction()
-}
-
-// CombinedFacilityShare sums FacilityShare over a set of colocated
-// hypergiants: the estimated fraction of a user's traffic one facility can
-// serve. For all four it is ≈0.52.
-func CombinedFacilityShare(hgs []HG) float64 {
-	var total float64
-	seen := [NumHG]bool{}
-	for _, h := range hgs {
-		if h < 0 || h >= NumHG || seen[h] {
-			continue
-		}
-		seen[h] = true
-		total += h.FacilityShare()
-	}
-	return total
 }

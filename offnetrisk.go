@@ -93,7 +93,7 @@ type Pipeline struct {
 	// Spec is the resolved scenario the pipeline builds its world from; nil
 	// means the registry's default scenario (the paper's hard-coded world).
 	// At ScaleTiny/ScaleLarge the spec's topology section is overridden by
-	// the literal tiny/large topology, so `-scenario X -tiny` means
+	// the registry's tiny/large topology (Scale.WorldSpec), so `-scenario X -tiny` means
 	// "scenario X's deployments, traffic and measurements at test scale" —
 	// the combination the golden-gated scenario matrix runs.
 	Spec *scenario.Spec
@@ -175,7 +175,8 @@ func (p *Pipeline) workers() int {
 	return par.Workers(p.Workers)
 }
 
-// String names the scale for logs and manifests.
+// String names the scale for logs and manifests. The tiny and large names
+// are also the registry scenarios whose topology WorldSpec substitutes.
 func (s Scale) String() string {
 	switch s {
 	case ScaleTiny:
@@ -187,19 +188,22 @@ func (s Scale) String() string {
 	}
 }
 
-// worldConfig resolves the topology: explicit tiny/large scales override
-// the spec's topology section with the literal test/large worlds, so every
-// scenario can run golden-gated at test scale.
-func (p *Pipeline) worldConfig() inet.Config {
-	var cfg inet.Config
-	switch p.Scale {
-	case ScaleTiny:
-		cfg = inet.TinyConfig(p.Seed)
-	case ScaleLarge:
-		cfg = inet.LargeConfig(p.Seed)
-	default:
-		cfg = inet.ConfigFromScenario(p.spec(), p.Seed)
+// WorldSpec returns the spec whose topology a run of sp at this scale
+// builds: ScaleTiny and ScaleLarge substitute the registry's tiny/large
+// topology, so every scenario can run golden-gated at test scale, and
+// ScaleDefault keeps sp's own. Pipeline and the commands that generate a
+// world directly both resolve their world through it.
+func (s Scale) WorldSpec(sp *scenario.Spec) *scenario.Spec {
+	if s == ScaleDefault {
+		return sp
 	}
+	return sp.WithTopologyOf(s.String())
+}
+
+// worldConfig resolves the world config of the pipeline's scenario at its
+// scale.
+func (p *Pipeline) worldConfig() inet.Config {
+	cfg := inet.ConfigFromScenario(p.Scale.WorldSpec(p.spec()), p.Seed)
 	// Parallelism knobs only — neither changes the world's bytes.
 	cfg.Shards = p.Shards
 	cfg.GenWorkers = p.Workers

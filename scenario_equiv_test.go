@@ -1,66 +1,11 @@
 package offnetrisk
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
-	"offnetrisk/internal/capacity"
-	"offnetrisk/internal/hypergiant"
-	"offnetrisk/internal/mlab"
-	"offnetrisk/internal/rdns"
-	"offnetrisk/internal/scan"
 	"offnetrisk/internal/scenario"
-	"offnetrisk/internal/session"
-	"offnetrisk/internal/tracert"
-	"offnetrisk/internal/traffic"
 )
-
-// TestScenarioConfigEquivalence: every layer's ConfigFromScenario applied to
-// the default scenario reproduces the hand-written default constructor —
-// the contract that makes plain runs byte-identical to pre-scenario builds.
-func TestScenarioConfigEquivalence(t *testing.T) {
-	sp := scenario.Default()
-	const seed = 42
-
-	if got, want := mlab.ConfigFromScenario(sp, seed), mlab.DefaultConfig(seed); got != want {
-		t.Errorf("mlab: %+v != %+v", got, want)
-	}
-	if got, want := tracert.ConfigFromScenario(sp, seed), tracert.DefaultConfig(seed); got != want {
-		t.Errorf("tracert: %+v != %+v", got, want)
-	}
-	if got, want := scan.ConfigFromScenario(sp, seed), scan.DefaultConfig(seed); got != want {
-		t.Errorf("scan: %+v != %+v", got, want)
-	}
-	if got, want := rdns.ConfigFromScenario(sp, seed), rdns.DefaultConfig(seed); got != want {
-		t.Errorf("rdns: %+v != %+v", got, want)
-	}
-
-	// capacity and session gained a Mix field the old constructors leave
-	// zero; the scenario fills it with the equivalent default mix.
-	gotCap, wantCap := capacity.ConfigFromScenario(sp, seed), capacity.DefaultConfig(seed)
-	wantCap.Mix = traffic.DefaultMix()
-	if gotCap != wantCap {
-		t.Errorf("capacity: %+v != %+v", gotCap, wantCap)
-	}
-	gotSes, wantSes := session.ConfigFromScenario(sp, seed), session.DefaultConfig(seed)
-	wantSes.Mix = traffic.DefaultMix()
-	if gotSes != wantSes {
-		t.Errorf("session: %+v != %+v", gotSes, wantSes)
-	}
-
-	gotDep, wantDep := hypergiant.DeployConfigFromScenario(sp, seed), hypergiant.DefaultDeployConfig(seed)
-	wantDep.Mix = traffic.DefaultMix()
-	wantDep.PNICapacityScale = 1.0
-	wantDep.TransitCoverageScale = 0.8
-	wantDep.Profiles = hypergiant.Profiles()
-	if !reflect.DeepEqual(gotDep, wantDep) {
-		t.Errorf("hypergiant deploy: %+v != %+v", gotDep, wantDep)
-	}
-	if !reflect.DeepEqual(hypergiant.ProfilesFromScenario(sp), hypergiant.Profiles()) {
-		t.Error("default-scenario profiles differ from the compiled-in profiles")
-	}
-}
 
 // TestDefaultScenarioPipelineByteIdentical: a pipeline explicitly running
 // the default scenario renders every experiment byte-identically to a plain
