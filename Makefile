@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt-check race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report runs-diff golden fuzz-smoke check-chaos golden-chaos check-scenarios golden-scenarios check-shards check-lineage golden-lineage check-temporal golden-temporal check-perfbench
+.PHONY: build test vet fmt-check race race-obs bench bench-json bench-smoke bench-compare perf-gate profile check report check-gates golden fuzz-smoke check-shards check-lineage check-perfbench
 
 build:
 	$(GO) build ./...
@@ -66,14 +66,12 @@ profile:
 # fmt-check fails on any file gofmt would change; race-obs runs first so
 # concurrency regressions in the observability and parallel substrates fail
 # fast, before the full race suite; perf-gate is pure file analysis;
-# runs-diff and check-chaos prove the golden reproduction is byte-identical
-# clean and under heavy chaos; check-scenarios proves every named scenario
-# still reproduces its committed golden manifest; check-shards proves
-# -shards is output-invariant and the huge tier generates and streams;
-# check-lineage proves the provenance capture reproduces its committed
-# digest and answers evidence queries; check-perfbench vets and tests the
-# benchmark harness against the library helpers it calls.
-check: build fmt-check vet race-obs race perf-gate runs-diff check-chaos check-scenarios check-shards check-lineage check-temporal check-perfbench
+# check-gates reproduces every row of the golden gate table and diffs it
+# against its committed manifest; check-lineage queries the lineage row's
+# capture with cmd/explain; check-shards proves the huge tier generates and
+# streams; check-perfbench vets and tests the benchmark harness against the
+# library helpers it calls.
+check: build fmt-check vet race-obs race perf-gate check-gates check-lineage check-shards check-perfbench
 
 # The benchmark harness is its own module (perfbench/go.mod), so the root
 # ./... patterns never reach it.
@@ -84,18 +82,58 @@ check-perfbench:
 report:
 	$(GO) run ./cmd/reproduce -out out -manifest out/manifest.json
 
-# Determinism gate: reproduce at the golden seed/scale and diff the manifest
-# against the checked-in reference. Fails (exit 1) on any counter, histogram
-# bucket, funnel, or stage-sequence drift; wall times and gauges are
-# informational.
-runs-diff:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -out /tmp/runsdiff-out -manifest /tmp/runsdiff-out/manifest.json
-	$(GO) run ./cmd/runsdiff out/golden_manifest.json /tmp/runsdiff-out/manifest.json
+# The golden gate table: one row per determinism gate, as
+#   name  mode  golden (under out/)  cmd/reproduce flags
+# `make check-gates` reproduces every row into $(GATE_OUT)/<name> and diffs
+# its manifest against the golden with cmd/runsdiff, failing on any counter,
+# histogram bucket, funnel, digest or stage-sequence drift (wall times and
+# gauges are informational) and on a non-zero reproduce exit (a heavy-chaos
+# run must come back degraded, not failed). `make golden` regenerates every
+# golden from its `gen` row; `check` rows re-run a golden's reference run
+# with an output-invariant knob changed (-shards, -workers) and are never
+# written. Commit regenerated goldens and say why in the commit message.
+#
+# Rows: the plain seed-42 tiny run (the default scenario at tiny scale) and
+# its -shards 4 twin; the heavy chaos profile; the provenance recorder on
+# (lineage digest and per-stage decision counts); the seed-42 flash-crowd
+# temporal replay and its -workers 4 twin; and every distinctive named
+# scenario at test scale. The registry's tiny/large entries are the default
+# world at those scales, so they would only repeat the first row.
+GATE_OUT ?= /tmp/gates
+define GATES
+plain                   gen    golden_manifest.json                         -tiny -seed 42
+shards-4                check  golden_manifest.json                         -tiny -seed 42 -shards 4
+chaos                   gen    golden_chaos_manifest.json                   -tiny -seed 42 -chaos heavy -chaos-seed 7
+lineage                 gen    golden_lineage_manifest.json                 -tiny -seed 42 -lineage $(GATE_OUT)/lineage/lineage.jsonl
+temporal                gen    golden_temporal_manifest.json                -tiny -seed 42 -hours 24 -schedule schedules/ios-flash-crowd.json
+temporal-workers-4      check  golden_temporal_manifest.json                -tiny -seed 42 -workers 4 -hours 24 -schedule schedules/ios-flash-crowd.json
+open-connect-everywhere gen    golden_scenario_open-connect-everywhere.json -scenario open-connect-everywhere -tiny -seed 42
+ios-flash-crowd         gen    golden_scenario_ios-flash-crowd.json         -scenario ios-flash-crowd -tiny -seed 42
+meta-cdn                gen    golden_scenario_meta-cdn.json                -scenario meta-cdn -tiny -seed 42
+ocdn                    gen    golden_scenario_ocdn.json                    -scenario ocdn -tiny -seed 42
+endef
+export GATES
 
-# Regenerate the golden manifest (after intentional metric/funnel changes;
-# commit the result and say why in the commit message).
+check-gates:
+	@mkdir -p $(GATE_OUT)
+	$(GO) build -o $(GATE_OUT)/reproduce ./cmd/reproduce
+	$(GO) build -o $(GATE_OUT)/runsdiff ./cmd/runsdiff
+	@echo "$$GATES" | while read -r name mode golden flags; do \
+		echo "== gate $$name ($$mode): $$flags"; \
+		mkdir -p $(GATE_OUT)/$$name; \
+		$(GATE_OUT)/reproduce $$flags -out $(GATE_OUT)/$$name -manifest $(GATE_OUT)/$$name/manifest.json || exit 1; \
+		$(GATE_OUT)/runsdiff out/$$golden $(GATE_OUT)/$$name/manifest.json || exit 1; \
+	done
+
 golden:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -out /tmp/golden-out -manifest out/golden_manifest.json
+	@mkdir -p $(GATE_OUT)
+	$(GO) build -o $(GATE_OUT)/reproduce ./cmd/reproduce
+	@echo "$$GATES" | while read -r name mode golden flags; do \
+		[ "$$mode" = gen ] || continue; \
+		echo "== golden $$golden: $$flags"; \
+		mkdir -p $(GATE_OUT)/$$name; \
+		$(GATE_OUT)/reproduce $$flags -out $(GATE_OUT)/$$name -manifest out/$$golden || exit 1; \
+	done
 
 # Short live-fuzz pass over every fuzz target (one target per invocation, as
 # the toolchain requires) — keeps the fuzz harnesses and seed corpora honest
@@ -108,91 +146,24 @@ fuzz-smoke:
 	$(GO) test ./internal/rdns -run '^FuzzExtractMetro$$' -fuzz '^FuzzExtractMetro$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/rdns -run '^FuzzLearnedExtract$$' -fuzz '^FuzzLearnedExtract$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/scenario -run '^FuzzParseSchedule$$' -fuzz '^FuzzParseSchedule$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/scenario -run '^FuzzParse$$' -fuzz '^FuzzParse$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs -run '^FuzzReadManifest$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netaddr -run '^FuzzParseAddr$$' -fuzz '^FuzzParseAddr$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netaddr -run '^FuzzParsePrefix$$' -fuzz '^FuzzParsePrefix$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/inet -run '^FuzzReadWorld$$' -fuzz '^FuzzReadWorld$$' -fuzztime $(FUZZTIME)
 
-# Chaos determinism gate: reproduce under the heavy fault profile at the
-# golden seeds and diff against the checked-in degraded reference. The run
-# must exit 0 (degraded, not failed) and drift-free.
-check-chaos:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -chaos heavy -chaos-seed 7 -out /tmp/chaosdiff-out -manifest /tmp/chaosdiff-out/manifest.json
-	$(GO) run ./cmd/runsdiff out/golden_chaos_manifest.json /tmp/chaosdiff-out/manifest.json
+# Lineage evidence queries: cmd/explain must answer from the capture the
+# lineage gate row wrote — a populated Table 1 cell comes back with its
+# evidence chain (explain exits 1 on no match).
+check-lineage: check-gates
+	$(GO) run ./cmd/explain -lineage $(GATE_OUT)/lineage/lineage.jsonl -isp 10000 -hg Akamai > /dev/null
+	$(GO) run ./cmd/explain -lineage $(GATE_OUT)/lineage/lineage.jsonl -list
 
-# Regenerate the chaos golden manifest (same rules as `make golden`).
-golden-chaos:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -chaos heavy -chaos-seed 7 -out /tmp/golden-chaos-out -manifest out/golden_chaos_manifest.json
-
-# The scenario matrix: every distinctive named scenario, golden-gated at test
-# scale. The registry's tiny/large entries are pure topology aliases — at
-# -tiny their runs are byte-identical to default's, so gating them would
-# commit three copies of the same golden.
-SCENARIOS ?= default open-connect-everywhere ios-flash-crowd meta-cdn ocdn
-
-# Scenario determinism gate: reproduce each named scenario at the golden
-# seed/scale and diff its manifest (scenario name + spec hash included)
-# against the checked-in per-scenario reference.
-check-scenarios:
-	@for s in $(SCENARIOS); do \
-		echo "== scenario $$s"; \
-		$(GO) run ./cmd/reproduce -scenario $$s -tiny -seed 42 \
-			-out /tmp/scenario-$$s -manifest /tmp/scenario-$$s/manifest.json || exit 1; \
-		$(GO) run ./cmd/runsdiff out/golden_scenario_$$s.json /tmp/scenario-$$s/manifest.json || exit 1; \
-	done
-
-# Shard gate, two halves. (1) Output-invariance: the golden tiny reproduce
-# re-run with -shards 4 must still match the committed golden manifest — if
-# the shard knob ever leaks into results, this catches it against the same
-# reference runs-diff uses. (2) Huge smoke: generate the huge tier
-# (generation only, no deployment), spill it to a snapshot, and stream it
-# back — bounded wall-clock proof that 50k+-entity worlds build and load.
+# Huge-tier smoke: generate the huge tier (generation only, no deployment),
+# spill it to a snapshot, and stream it back — bounded wall-clock proof that
+# 50k+-entity worlds build and load. (The -shards output-invariance half of
+# the shard gate is the shards-4 row of the gate table.)
 check-shards:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -shards 4 -out /tmp/sharddiff-out -manifest /tmp/sharddiff-out/manifest.json
-	$(GO) run ./cmd/runsdiff out/golden_manifest.json /tmp/sharddiff-out/manifest.json
 	@rm -f /tmp/huge-smoke.ofnw
 	$(GO) run ./cmd/offnetgen -scenario huge -seed 42 -gen-only -snapshot /tmp/huge-smoke.ofnw
 	$(GO) run ./cmd/offnetgen -scenario huge -seed 42 -gen-only -snapshot /tmp/huge-smoke.ofnw
-
-# Lineage determinism gate: reproduce at the golden seed/scale with the
-# provenance recorder on, diff the manifest (lineage_digest + per-stage
-# decision counts included) against the checked-in lineage reference, and
-# smoke-query the capture with cmd/explain — a populated Table 1 cell must
-# come back with its evidence chain (explain exits 1 on no match).
-check-lineage:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -out /tmp/lineage-out \
-		-manifest /tmp/lineage-out/manifest.json -lineage /tmp/lineage-out/lineage.jsonl
-	$(GO) run ./cmd/runsdiff out/golden_lineage_manifest.json /tmp/lineage-out/manifest.json
-	$(GO) run ./cmd/explain -lineage /tmp/lineage-out/lineage.jsonl -isp 10000 -hg Akamai > /dev/null
-	$(GO) run ./cmd/explain -lineage /tmp/lineage-out/lineage.jsonl -list
-
-# Regenerate the lineage golden manifest (same rules as `make golden`).
-golden-lineage:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -out /tmp/golden-lineage-out \
-		-manifest out/golden_lineage_manifest.json -lineage /tmp/golden-lineage-out/lineage.jsonl
-
-# Temporal determinism gate: replay the committed seed-42 flash-crowd
-# schedule through the discrete-event engine and diff the manifest — the
-# trajectory digest rides the same runsdiff contract as counters and
-# funnels — then re-run at -workers 4 to prove the digest is byte-identical
-# at any worker count.
-check-temporal:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -hours 24 -schedule schedules/ios-flash-crowd.json \
-		-out /tmp/temporal-out -manifest /tmp/temporal-out/manifest.json
-	$(GO) run ./cmd/runsdiff out/golden_temporal_manifest.json /tmp/temporal-out/manifest.json
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -workers 4 -hours 24 -schedule schedules/ios-flash-crowd.json \
-		-out /tmp/temporal-out-w4 -manifest /tmp/temporal-out-w4/manifest.json
-	$(GO) run ./cmd/runsdiff out/golden_temporal_manifest.json /tmp/temporal-out-w4/manifest.json
-
-# Regenerate the temporal golden manifest (same rules as `make golden`).
-golden-temporal:
-	$(GO) run ./cmd/reproduce -tiny -seed 42 -hours 24 -schedule schedules/ios-flash-crowd.json \
-		-out /tmp/golden-temporal-out -manifest out/golden_temporal_manifest.json
-
-# Regenerate the per-scenario golden manifests (same rules as `make golden`:
-# commit the results and say why in the commit message).
-golden-scenarios:
-	@for s in $(SCENARIOS); do \
-		echo "== scenario $$s"; \
-		$(GO) run ./cmd/reproduce -scenario $$s -tiny -seed 42 \
-			-out /tmp/golden-scenario-$$s -manifest out/golden_scenario_$$s.json || exit 1; \
-	done

@@ -61,7 +61,7 @@ func BenchmarkTable1OffnetScan(b *testing.B) {
 	var res *Table1Result
 	var tr *obs.Tracer
 	for i := 0; i < b.N; i++ {
-		p := NewPipeline(benchSeed, ScaleTiny)
+		p := tinyPipeline(benchSeed)
 		tr = instrument(p)
 		var err error
 		res, err = p.Table1Context(context.Background())
@@ -199,7 +199,7 @@ func BenchmarkValidationRDNS(b *testing.B) {
 	var res *ColocationResult
 	var tr *obs.Tracer
 	for i := 0; i < b.N; i++ {
-		p := NewPipeline(benchSeed, ScaleTiny)
+		p := tinyPipeline(benchSeed)
 		tr = instrument(p)
 		var err error
 		res, err = p.ColocationContext(context.Background())
@@ -273,8 +273,7 @@ func BenchmarkSec421PeeringSurvey(b *testing.B) {
 			var st tracert.SurveyStats
 			var n int
 			for i := 0; i < b.N; i++ {
-				cfg := tracert.ConfigFromScenario(scenario.Default(), benchSeed)
-				cfg.VMs = 24
+				cfg := tracert.ConfigFromScenario(scenario.MustLookup("tiny"), benchSeed)
 				cfg.Workers = workers
 				traces, err := tracert.SurveyContext(ctx, d, traffic.Google, cfg)
 				if err != nil {
@@ -531,7 +530,7 @@ func BenchmarkMappingTechnique(b *testing.B) {
 	var res *MappingResult
 	var tr *obs.Tracer
 	for i := 0; i < b.N; i++ {
-		p := NewPipeline(benchSeed, ScaleTiny)
+		p := tinyPipeline(benchSeed)
 		tr = instrument(p)
 		var err error
 		res, err = p.MappingStudyContext(context.Background())
@@ -562,7 +561,7 @@ func BenchmarkMitigationIsolation(b *testing.B) {
 	var res *MitigationResult
 	var tr *obs.Tracer
 	for i := 0; i < b.N; i++ {
-		p := NewPipeline(benchSeed, ScaleTiny)
+		p := tinyPipeline(benchSeed)
 		tr = instrument(p)
 		var err error
 		res, err = p.MitigationStudyContext(context.Background())
@@ -583,7 +582,7 @@ func BenchmarkSec41Apartments(b *testing.B) {
 	var res *CapacityResult
 	var tr *obs.Tracer
 	for i := 0; i < b.N; i++ {
-		p := NewPipeline(benchSeed, ScaleTiny)
+		p := tinyPipeline(benchSeed)
 		tr = instrument(p)
 		var err error
 		res, err = p.CapacityStudyContext(context.Background())

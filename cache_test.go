@@ -49,7 +49,7 @@ func TestConformanceDoesNoExtraWork(t *testing.T) {
 	model := []string{"cascade.scenarios_simulated", "capacity.models_built"}
 	all := append(append([]string(nil), measurement...), model...)
 
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	runAll(t, p)
 	before := counterValues(all...)
 	if _, err := p.ConformanceContext(context.Background()); err != nil {
@@ -58,10 +58,10 @@ func TestConformanceDoesNoExtraWork(t *testing.T) {
 	got := delta(before, counterValues(all...))
 
 	before = counterValues(all...)
-	if _, err := sweeppkg.ColocationPropensity(context.Background(), p.Scenario(), p.Seed, propensityProbe); err != nil {
+	if _, err := sweeppkg.ColocationPropensity(context.Background(), p.Spec, p.Seed, propensityProbe); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sweeppkg.SharedHeadroom(context.Background(), p.Scenario(), p.Seed, headroomProbe); err != nil {
+	if _, err := sweeppkg.SharedHeadroom(context.Background(), p.Spec, p.Seed, headroomProbe); err != nil {
 		t.Fatal(err)
 	}
 	sweeps := delta(before, counterValues(all...))
@@ -94,13 +94,13 @@ func TestColocationSingleflight(t *testing.T) {
 	counters := []string{"ping.rtts_measured", "optics.runs_total"}
 
 	before := counterValues(counters...)
-	if _, err := NewPipeline(42, ScaleTiny).ColocationContext(context.Background()); err != nil {
+	if _, err := tinyPipeline(42).ColocationContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	once := delta(before, counterValues(counters...))
 
 	const n = 8
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	results := make([]*ColocationResult, n)
 	errs := make([]error, n)
 	before = counterValues(counters...)
@@ -131,7 +131,7 @@ func TestColocationSingleflight(t *testing.T) {
 // TestCancelledCallIsNotCached: a call that fails on its context leaves no
 // entry behind, so the next call with a live context computes and succeeds.
 func TestCancelledCallIsNotCached(t *testing.T) {
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := p.ColocationContext(ctx); !errors.Is(err, context.Canceled) {
@@ -156,7 +156,7 @@ func TestCancelledCallIsNotCached(t *testing.T) {
 // is shared with the callers waiting on it but not cached, and a waiter
 // whose leader failed on its own context computes for itself.
 func TestCachedErrorSemantics(t *testing.T) {
-	p := NewPipeline(1, ScaleTiny)
+	p := tinyPipeline(1)
 	boom := errors.New("boom")
 	var calls atomic.Int32
 	failing := func() (int, error) { calls.Add(1); return 0, boom }
@@ -232,7 +232,7 @@ func reachabilityReference(ctx context.Context, p *Pipeline) ([]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	sp := p.Scenario()
+	sp := p.Spec
 	mcfg := mlab.ConfigFromScenario(sp, p.Seed)
 	mcfg.Workers = p.Workers
 	mcfg.Chaos = p.Chaos
@@ -260,7 +260,7 @@ func reachabilityReference(ctx context.Context, p *Pipeline) ([]float64, error) 
 
 func TestColocationReachabilityMatchesRecomputation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		p := NewPipeline(42, ScaleTiny)
+		p := tinyPipeline(42)
 		p.Workers = workers
 		col, err := p.ColocationContext(context.Background())
 		if err != nil {
@@ -285,7 +285,7 @@ func TestColocationReachabilityMatchesRecomputation(t *testing.T) {
 // 2023 capacity model; after all of them have run, the model serves exactly
 // what it served when fresh.
 func TestSharedCapacityModelIsReadOnly(t *testing.T) {
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	d, m, err := p.capacityModel("test")
 	if err != nil {
 		t.Fatal(err)

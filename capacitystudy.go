@@ -75,7 +75,7 @@ func (p *Pipeline) capacityModel(stage string) (*hypergiant.Deployment, *capacit
 	m, err := cached(p, "capacity-model/2023", func() (*capacity.Model, error) {
 		sp := p.span(stage + "/build-model")
 		defer sp.End()
-		return capacity.Build(d, capacity.ConfigFromScenario(p.spec(), p.Seed)), nil
+		return capacity.Build(d, capacity.ConfigFromScenario(p.Spec, p.Seed)), nil
 	})
 	return d, m, err
 }
@@ -150,7 +150,7 @@ func (p *Pipeline) capacityStudy(ctx context.Context) (*CapacityResult, error) {
 		}
 	}
 	if panelISP != 0 {
-		apts := capacity.Apartments(530, panelISP, p.Seed, p.spec().Mix())
+		apts := capacity.Apartments(530, panelISP, p.Seed, p.Spec.Mix())
 		summary := capacity.Summarize(capacity.ApartmentStudy(m, apts))
 		out.Panel = PanelRow{
 			Apartments:   summary.Apartments,

@@ -107,7 +107,7 @@ func (p *Pipeline) cascadeStudy(ctx context.Context) (*CascadeResult, error) {
 
 		// Session-level QoE: baseline vs this worst case.
 		base := cascade.Simulate(m, d, cascade.DefaultScenario())
-		scfg := session.ConfigFromScenario(p.spec(), p.Seed)
+		scfg := session.ConfigFromScenario(p.Spec, p.Seed)
 		scfg.Workers = p.Workers
 		baseSessions, err := session.RunContext(sctx, m, d, base, scfg)
 		if err != nil {

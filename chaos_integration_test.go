@@ -23,7 +23,7 @@ import (
 func chaosState(t *testing.T, workers int, timeline bool) []byte {
 	t.Helper()
 	obs.Default.Reset()
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	p.Workers = workers
 	prof, err := chaos.ParseProfile("heavy")
 	if err != nil {
@@ -96,7 +96,7 @@ func TestChaosWorkerDeterminism(t *testing.T) {
 func TestChaosOffPipelineUnchanged(t *testing.T) {
 	run := func(withField bool) string {
 		obs.Default.Reset()
-		p := NewPipeline(42, ScaleTiny)
+		p := tinyPipeline(42)
 		if withField {
 			off, err := chaos.ParseProfile("off")
 			if err != nil {
@@ -120,7 +120,7 @@ func TestChaosOffPipelineUnchanged(t *testing.T) {
 func TestChaosSeedChangesFaults(t *testing.T) {
 	render := func(chaosSeed int64) string {
 		obs.Default.Reset()
-		p := NewPipeline(42, ScaleTiny)
+		p := tinyPipeline(42)
 		prof, err := chaos.ParseProfile("heavy")
 		if err != nil {
 			t.Fatal(err)

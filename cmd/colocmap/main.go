@@ -42,7 +42,7 @@ func main() {
 	}
 	defer stopObs()
 
-	logger.Debug("running colocation pipeline", "seed", common.Seed, "scale", common.Scale().String())
+	logger.Debug("running colocation pipeline", "seed", common.Seed, "scenario", p.Spec.Name)
 	res, err := p.ColocationContext(ctx)
 	if err != nil {
 		logger.Error("colocation pipeline failed", "err", err)

@@ -47,7 +47,7 @@ func main() {
 	}
 
 	prof := obs.BuildProfile(m.Stages, *top)
-	fmt.Printf("# Performance profile — %s, seed %d, scale %s\n\n", m.Tool, m.Seed, m.Scale)
+	fmt.Printf("# Performance profile — %s, seed %d, scenario %s\n\n", m.Tool, m.Seed, m.Scenario)
 	fmt.Print(prof.Markdown())
 
 	if *tracePath != "" {

@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		fatal("invalid flags", err)
 	}
-	sp := p.Scenario()
+	sp := p.Spec
 	tr := obs.NewTracer()
 	p.Instrument(tr)
 	stopObs, err := common.Observability(ctx, tr, logger)

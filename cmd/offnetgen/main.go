@@ -68,7 +68,7 @@ func main() {
 	}
 	// World generation injects no faults, but the shared -chaos flag should
 	// still reject unknown profiles here like everywhere else.
-	if _, err := common.InjectorFromSpec(sp); err != nil {
+	if _, err := common.ChaosInjector(sp); err != nil {
 		fatal("invalid flags", err)
 	}
 	stopObs, err := common.Observability(ctx, obs.NewTracer(), logger)
@@ -77,11 +77,7 @@ func main() {
 	}
 	defer stopObs()
 
-	wcfg, err := common.WorldConfig()
-	if err != nil {
-		fatal("invalid flags", err)
-	}
-	w, fromDisk, err := inet.LoadOrGenerate(common.Snapshot, wcfg, sp.Hash())
+	w, fromDisk, err := inet.LoadOrGenerate(common.Snapshot, common.WorldConfig(sp), sp.Hash())
 	if err != nil {
 		fatal("world build failed", err)
 	}

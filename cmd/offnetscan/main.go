@@ -69,7 +69,7 @@ func main() {
 		return
 	}
 
-	logger.Debug("running Table 1 pipeline", "seed", common.Seed, "scale", common.Scale().String())
+	logger.Debug("running Table 1 pipeline", "seed", common.Seed, "scenario", p.Spec.Name)
 	res, err := p.Table1Context(ctx)
 	if err != nil {
 		fatal("Table 1 pipeline failed", err)
@@ -81,7 +81,7 @@ func main() {
 		if err != nil {
 			fatal("world build failed", err)
 		}
-		recs, err := scan.Simulate(d, scan.ConfigFromScenario(p.Scenario(), common.Seed))
+		recs, err := scan.Simulate(d, scan.ConfigFromScenario(p.Spec, common.Seed))
 		if err != nil {
 			fatal("scan simulation failed", err)
 		}

@@ -7,7 +7,7 @@
 //
 // Stages run independently: a failing stage is recorded and the remaining
 // stages still run; the command exits non-zero if any stage failed. With
-// -manifest the run writes a JSON provenance document (seed, scale, span
+// -manifest the run writes a JSON provenance document (seed, scenario, span
 // tree, metric values); with -debug-addr it serves live /debug/pprof,
 // /debug/vars and /debug/obs pages while running. SIGINT cancels the
 // in-flight stage and shuts the debug endpoint down cleanly.
@@ -49,7 +49,6 @@ func main() {
 	ctx, stop := common.Context()
 	defer stop()
 
-	scale := common.Scale()
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		logger.Error("cannot create output directory", "dir", *outDir, "err", err)
 		os.Exit(1)
@@ -76,13 +75,8 @@ func main() {
 	defer stopObs()
 
 	var md strings.Builder
-	fmt.Fprintf(&md, "# offnetrisk reproduction report\n\nseed %d, scale %v\n\n", common.Seed, scale)
-	// Scenario provenance appears only when -scenario was passed: plain runs
-	// keep the exact pre-scenario header, so their golden diffs stay clean.
-	if common.Scenario != "" {
-		sp := p.Scenario()
-		fmt.Fprintf(&md, "scenario `%s` (spec sha256 `%s`)\n\n", sp.Name, sp.Hash())
-	}
+	fmt.Fprintf(&md, "# offnetrisk reproduction report\n\nseed %d, scenario `%s` (spec sha256 `%s`)\n\n",
+		common.Seed, p.Spec.Name, p.Spec.Hash())
 
 	// Stages run in order; a failure is collected, not fatal, so one broken
 	// experiment still leaves the rest of the report usable. Cancellation is
@@ -247,7 +241,7 @@ func main() {
 	})
 
 	run("sensitivity-sweeps", func() error {
-		sp := p.Scenario()
+		sp := p.Spec
 		prop, err := sweep.ColocationPropensity(ctx, sp, common.Seed, []float64{0.3, 0.6, 0.86, 0.95})
 		if err != nil {
 			return err
@@ -369,11 +363,9 @@ func main() {
 
 	if *manifestPath != "" {
 		run("manifest", func() error {
-			m := obs.BuildManifest("reproduce", common.Seed, scale.String(), tr, start)
-			if common.Scenario != "" {
-				m.Scenario = p.Scenario().Name
-				m.ScenarioHash = p.Scenario().Hash()
-			}
+			m := obs.BuildManifest("reproduce", common.Seed, tr, start)
+			m.Scenario = p.Spec.Name
+			m.ScenarioHash = p.Spec.Hash()
 			m.Snapshot = common.Snapshot
 			if traj != nil {
 				m.TrajectoryDigest = traj.Digest()

@@ -51,7 +51,7 @@ func main() {
 	}
 	defer stopObs()
 
-	logger.Debug("running peering survey", "seed", common.Seed, "scale", common.Scale().String())
+	logger.Debug("running peering survey", "seed", common.Seed, "scenario", p.Spec.Name)
 	ps, err := p.PeeringSurveyForContext(ctx, traffic.Google)
 	if err != nil {
 		fatal("peering survey failed", err)
@@ -89,7 +89,7 @@ func main() {
 			fatal("world build failed", err)
 		}
 		decol := cascade.Decolocate(d)
-		ccfg := capacity.ConfigFromScenario(p.Scenario(), common.Seed)
+		ccfg := capacity.ConfigFromScenario(p.Spec, common.Seed)
 		mCol := capacity.Build(d, ccfg)
 		mDecol := capacity.Build(decol, ccfg)
 		col, err := cascade.MonteCarloContext(ctx, mCol, d, 3, 120, common.Seed, common.Workers)
@@ -112,7 +112,7 @@ func main() {
 		// Interactive use gets the timed rendering (wall-clock per sweep
 		// point, from the sweep's spans); REPORT.md keeps the untimed one.
 		fmt.Println()
-		sp := p.Scenario()
+		sp := p.Spec
 		if r, err := sweep.ColocationPropensity(ctx, sp, common.Seed, []float64{0.3, 0.6, 0.86, 0.95}); err == nil {
 			fmt.Print(r.TimedString())
 		} else {

@@ -106,8 +106,8 @@ func (p *Pipeline) colocation(ctx context.Context) (*ColocationResult, error) {
 		return nil, err
 	}
 	sctx, sp := p.spanCtx(ctx, "colocation/ping-campaign")
-	sites := mlab.Sites(p.spec().Measurement.PingSites, p.Seed)
-	mcfg := mlab.ConfigFromScenario(p.spec(), p.Seed)
+	sites := mlab.Sites(p.Spec.Measurement.PingSites, p.Seed)
+	mcfg := mlab.ConfigFromScenario(p.Spec, p.Seed)
 	mcfg.Workers = p.Workers
 	mcfg.Chaos = p.Chaos
 	campaign, err := mlab.MeasureContext(sctx, d, sites, mcfg)
@@ -119,7 +119,7 @@ func (p *Pipeline) colocation(ctx context.Context) (*ColocationResult, error) {
 	sp.SetAttr("unresponsive", campaign.Unresponsive)
 	sp.End()
 	sctx, sp = p.spanCtx(ctx, "colocation/optics-cluster")
-	analysis, err := coloc.AnalyzeMixContext(sctx, w, campaign, Xis, p.Workers, p.spec().Mix())
+	analysis, err := coloc.AnalyzeMixContext(sctx, w, campaign, Xis, p.Workers, p.Spec.Mix())
 	if err != nil {
 		sp.End()
 		return nil, err
@@ -189,7 +189,7 @@ func (p *Pipeline) colocation(ctx context.Context) (*ColocationResult, error) {
 	// §3.2 validation against synthesized PTR records.
 	sp = p.span("colocation/rdns-validate")
 	defer sp.End()
-	ptrs := rdns.Synthesize(d, rdns.ConfigFromScenario(p.spec(), p.Seed))
+	ptrs := rdns.Synthesize(d, rdns.ConfigFromScenario(p.Spec, p.Seed))
 	for _, xi := range Xis {
 		clusters := make(map[string][][]netaddr.Addr)
 		for as, isp := range analysis.PerISP {

@@ -168,14 +168,14 @@ func (p *Pipeline) ConformanceContext(ctx context.Context) (*report.Suite, error
 	// and the full sweep at large scale would dominate the suite's runtime.
 	sp := p.span("conformance/sensitivity-sweeps")
 	defer sp.End()
-	prop, err := sweeppkg.ColocationPropensity(ctx, p.spec(), p.Seed, propensityProbe)
+	prop, err := sweeppkg.ColocationPropensity(ctx, p.Spec, p.Seed, propensityProbe)
 	if err != nil {
 		return nil, err
 	}
 	s.AddBool("Sweep/propensity-direction",
 		"more colocation propensity → more correlated failures",
 		prop.Points[1].Metrics["hg-per-failure"] > prop.Points[0].Metrics["hg-per-failure"])
-	hr, err := sweeppkg.SharedHeadroom(ctx, p.spec(), p.Seed, headroomProbe)
+	hr, err := sweeppkg.SharedHeadroom(ctx, p.Spec, p.Seed, headroomProbe)
 	if err != nil {
 		return nil, err
 	}

@@ -5,12 +5,13 @@ import (
 	"fmt"
 
 	"offnetrisk"
+	"offnetrisk/internal/scenario"
 )
 
 // ExampleNewPipeline shows the end-to-end Table 1 reproduction: TLS scans
 // at both epochs, certificate inference, and the §2.2 growth numbers.
 func ExampleNewPipeline() {
-	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
+	p := offnetrisk.NewPipeline(scenario.MustLookup("tiny"), 7)
 	t1, err := p.Table1Context(context.Background())
 	if err != nil {
 		panic(err)
@@ -30,7 +31,7 @@ func ExampleNewPipeline() {
 // the 2013 DNS/ECS technique cannot map users to offnets under modern
 // embedded-URL steering.
 func ExamplePipeline_MappingStudyContext() {
-	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
+	p := offnetrisk.NewPipeline(scenario.MustLookup("tiny"), 7)
 	res, err := p.MappingStudyContext(context.Background())
 	if err != nil {
 		panic(err)

@@ -18,12 +18,13 @@ import (
 	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func main() {
 	log.SetFlags(0)
-	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
+	p := offnetrisk.NewPipeline(scenario.MustLookup("tiny"), 7)
 	w, d, err := p.World2023()
 	if err != nil {
 		log.Fatal(err)
@@ -60,7 +61,7 @@ func main() {
 		fi.racks[s.Rack][s.HG] = true
 	}
 
-	mix := p.Scenario().Mix()
+	mix := p.Spec.Mix()
 	ids := make([]inet.FacilityID, 0, len(inv))
 	for id := range inv {
 		ids = append(ids, id)
@@ -89,7 +90,7 @@ func main() {
 
 	// What happens if the busiest facility fails at peak?
 	fid, nHGs := cascade.TopFacility(d, as)
-	m := capacity.Build(d, capacity.ConfigFromScenario(p.Scenario(), p.Seed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(p.Spec, p.Seed))
 	sc := cascade.DefaultScenario()
 	sc.FailFacilities = map[inet.FacilityID]bool{fid: true}
 	rep := cascade.Simulate(m, d, sc)

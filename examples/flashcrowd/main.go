@@ -14,17 +14,18 @@ import (
 	"offnetrisk/internal/capacity"
 	"offnetrisk/internal/cascade"
 	"offnetrisk/internal/inet"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func main() {
 	log.SetFlags(0)
-	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
+	p := offnetrisk.NewPipeline(scenario.MustLookup("tiny"), 7)
 	w, d, err := p.World2023()
 	if err != nil {
 		log.Fatal(err)
 	}
-	m := capacity.Build(d, capacity.ConfigFromScenario(p.Scenario(), p.Seed))
+	m := capacity.Build(d, capacity.ConfigFromScenario(p.Spec, p.Seed))
 
 	// A bad update takes out the top facility of the five biggest hosts.
 	failed := make(map[inet.FacilityID]bool)

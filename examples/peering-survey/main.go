@@ -13,12 +13,13 @@ import (
 	"log"
 
 	"offnetrisk"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
 func main() {
 	log.SetFlags(0)
-	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
+	p := offnetrisk.NewPipeline(scenario.MustLookup("tiny"), 7)
 	ctx := context.Background()
 
 	fmt.Printf("%-8s %6s %6s %9s %11s %8s %9s\n",

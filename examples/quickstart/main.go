@@ -10,6 +10,7 @@ import (
 	"log"
 
 	"offnetrisk"
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
@@ -17,9 +18,9 @@ func main() {
 	log.SetFlags(0)
 
 	// A pipeline owns one synthetic Internet per epoch, derived entirely
-	// from the seed. ScaleTiny runs in about a second; use ScaleDefault for
-	// statistics closer to the paper's dataset sizes.
-	p := offnetrisk.NewPipeline(7, offnetrisk.ScaleTiny)
+	// from the seed. The tiny scenario runs in about a second; use
+	// scenario.Default() for statistics closer to the paper's dataset sizes.
+	p := offnetrisk.NewPipeline(scenario.MustLookup("tiny"), 7)
 	ctx := context.Background()
 
 	// §2.2 / Table 1 — TLS-scan offnet discovery at two epochs.

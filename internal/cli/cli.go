@@ -53,8 +53,8 @@ type Common struct {
 func Register(fs *flag.FlagSet) *Common {
 	c := &Common{fs: fs}
 	fs.Int64Var(&c.Seed, "seed", 42, "world seed")
-	fs.BoolVar(&c.Tiny, "tiny", false, "run the scenario at miniature test scale (alias for the tiny topology)")
-	fs.BoolVar(&c.Large, "large", false, "run the scenario at the large (paper-sized) scale (alias for the large topology)")
+	fs.BoolVar(&c.Tiny, "tiny", false, "run the scenario (default if -scenario is absent) at the registry's tiny test scale")
+	fs.BoolVar(&c.Large, "large", false, "run the scenario (default if -scenario is absent) at the registry's large (paper-sized) scale")
 	fs.StringVar(&c.Scenario, "scenario", "", "named scenario or spec-file path declaring the world (see -list-scenarios)")
 	fs.BoolVar(&c.ListScenarios, "list-scenarios", false, "list the compiled-in scenarios and exit")
 	fs.BoolVar(&c.Verbose, "v", false, "verbose (debug-level) logging")
@@ -84,39 +84,30 @@ func (c *Common) HandleScenarioList() bool {
 	return true
 }
 
-// Scale maps -tiny/-large onto the pipeline scale. The scale overrides the
-// scenario's topology section, so any scenario can run at test scale.
-func (c *Common) Scale() offnetrisk.Scale {
-	switch {
-	case c.Tiny:
-		return offnetrisk.ScaleTiny
-	case c.Large:
-		return offnetrisk.ScaleLarge
-	default:
-		return offnetrisk.ScaleDefault
-	}
-}
-
-// ScenarioSpec resolves -scenario/-tiny/-large to the run's scenario.
-// Without -scenario, -tiny and -large are aliases for the registry's tiny
-// and large scenarios; passing both at once is an error (previously one
-// silently won).
+// ScenarioSpec resolves -scenario/-tiny/-large to the one spec the run
+// builds: the named scenario (default when -scenario is absent), at the
+// registry's tiny or large scale when -tiny or -large is set (see
+// scenario.Spec.AtScale). A plain -tiny run is therefore exactly
+// `-scenario default -tiny`. Passing both -tiny and -large is an error.
 func (c *Common) ScenarioSpec() (*scenario.Spec, error) {
 	if c.Tiny && c.Large {
 		return nil, errors.New("cli: -tiny and -large are mutually exclusive; pick one world size")
 	}
 	name := c.Scenario
 	if name == "" {
-		switch {
-		case c.Tiny:
-			name = "tiny"
-		case c.Large:
-			name = "large"
-		default:
-			name = scenario.DefaultName
-		}
+		name = scenario.DefaultName
 	}
-	return scenario.Resolve(name)
+	sp, err := scenario.Resolve(name)
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case c.Tiny:
+		return sp.AtScale("tiny"), nil
+	case c.Large:
+		return sp.AtScale("large"), nil
+	}
+	return sp, nil
 }
 
 // flagSet reports whether the named flag was explicitly passed.
@@ -138,9 +129,6 @@ func (c *Common) flagSet(name string) bool {
 // scenario's chaos section.
 func (c *Common) ChaosSettings(sp *scenario.Spec) (profile string, seed int64) {
 	profile, seed = c.Chaos, c.ChaosSeed
-	if sp == nil {
-		return profile, seed
-	}
 	if !c.flagSet("chaos") && sp.Chaos.Profile != "" {
 		profile = sp.Chaos.Profile
 	}
@@ -150,18 +138,13 @@ func (c *Common) ChaosSettings(sp *scenario.Spec) (profile string, seed int64) {
 	return profile, seed
 }
 
-// WorldConfig resolves the raw world config for commands that generate a
-// world directly instead of going through a Pipeline: the scenario's
-// topology, overridden by an explicit -tiny/-large scale.
-func (c *Common) WorldConfig() (inet.Config, error) {
-	sp, err := c.ScenarioSpec()
-	if err != nil {
-		return inet.Config{}, err
-	}
-	cfg := inet.ConfigFromScenario(c.Scale().WorldSpec(sp), c.Seed)
+// WorldConfig is the world config of the resolved spec sp, for commands
+// that generate a world directly instead of going through a Pipeline.
+func (c *Common) WorldConfig(sp *scenario.Spec) inet.Config {
+	cfg := inet.ConfigFromScenario(sp, c.Seed)
 	cfg.Shards = c.Shards
 	cfg.GenWorkers = c.Workers
-	return cfg, nil
+	return cfg
 }
 
 // Logger sets up the command's structured logger at the -v-selected level.
@@ -169,20 +152,9 @@ func (c *Common) Logger(cmd string) *slog.Logger {
 	return obs.SetupCLI(cmd, c.Verbose)
 }
 
-// Injector resolves -chaos/-chaos-seed to a fault injector (nil when off);
-// the error reports an unknown profile name. Prefer InjectorFromSpec when a
-// scenario is in play — it applies the scenario's chaos section.
-func (c *Common) Injector() (*chaos.Injector, error) {
-	prof, err := chaos.ParseProfile(c.Chaos)
-	if err != nil {
-		return nil, err
-	}
-	return chaos.New(prof, c.ChaosSeed), nil
-}
-
-// InjectorFromSpec resolves the chaos injector with the scenario's chaos
+// ChaosInjector resolves the chaos injector with the scenario's chaos
 // section as the fallback for unset flags.
-func (c *Common) InjectorFromSpec(sp *scenario.Spec) (*chaos.Injector, error) {
+func (c *Common) ChaosInjector(sp *scenario.Spec) (*chaos.Injector, error) {
 	profile, seed := c.ChaosSettings(sp)
 	prof, err := chaos.ParseProfile(profile)
 	if err != nil {
@@ -191,20 +163,19 @@ func (c *Common) InjectorFromSpec(sp *scenario.Spec) (*chaos.Injector, error) {
 	return chaos.New(prof, seed), nil
 }
 
-// Pipeline builds the pipeline for the selected scenario, seed, scale,
-// workers and chaos profile. The error reports a flag conflict, an
+// Pipeline builds the pipeline for the resolved scenario, seed, workers and
+// chaos profile. The error reports a flag conflict, an
 // unresolvable -scenario, or an invalid -chaos value.
 func (c *Common) Pipeline() (*offnetrisk.Pipeline, error) {
 	sp, err := c.ScenarioSpec()
 	if err != nil {
 		return nil, err
 	}
-	inj, err := c.InjectorFromSpec(sp)
+	inj, err := c.ChaosInjector(sp)
 	if err != nil {
 		return nil, err
 	}
-	p := offnetrisk.NewPipelineFromSpec(sp, c.Seed)
-	p.Scale = c.Scale()
+	p := offnetrisk.NewPipeline(sp, c.Seed)
 	p.Workers = c.Workers
 	p.Shards = c.Shards
 	p.SnapshotPath = c.Snapshot

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"offnetrisk"
 	"offnetrisk/internal/scenario"
 )
 
@@ -30,40 +29,37 @@ func TestTinyLargeConflict(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("conflict error %q does not name the conflict", err)
 	}
-	// The same conflict must surface through Pipeline and WorldConfig too —
-	// commands call whichever fits, and all of them must refuse.
+	// The same conflict must surface through Pipeline too.
 	if _, err := c.Pipeline(); err == nil {
 		t.Fatal("Pipeline accepted -tiny -large")
 	}
-	if _, err := c.WorldConfig(); err == nil {
-		t.Fatal("WorldConfig accepted -tiny -large")
-	}
 }
 
+// TestScaleAliases pins the one resolution of -scenario/-tiny/-large:
+// -tiny and -large put the named scenario (default when absent) at the
+// registry's tiny or large scale, so a plain -tiny run resolves to exactly
+// the spec `-scenario default -tiny` does.
 func TestScaleAliases(t *testing.T) {
 	cases := []struct {
-		args  []string
-		name  string
-		scale offnetrisk.Scale
+		args []string
+		want *scenario.Spec
 	}{
-		{nil, scenario.DefaultName, offnetrisk.ScaleDefault},
-		{[]string{"-tiny"}, "tiny", offnetrisk.ScaleTiny},
-		{[]string{"-large"}, "large", offnetrisk.ScaleLarge},
+		{nil, scenario.Default()},
+		{[]string{"-tiny"}, scenario.Default().AtScale("tiny")},
+		{[]string{"-scenario", "default", "-tiny"}, scenario.Default().AtScale("tiny")},
+		{[]string{"-large"}, scenario.Default().AtScale("large")},
+		{[]string{"-scenario", "tiny"}, scenario.MustLookup("tiny")},
 		// An explicit -scenario keeps its own spec; the scale flag only
-		// overrides the topology.
-		{[]string{"-scenario", "ios-flash-crowd", "-tiny"}, "ios-flash-crowd", offnetrisk.ScaleTiny},
+		// brings the topology and the scale-bound campaign sizes.
+		{[]string{"-scenario", "ios-flash-crowd", "-tiny"}, scenario.MustLookup("ios-flash-crowd").AtScale("tiny")},
 	}
 	for _, tc := range cases {
-		c := parse(t, tc.args...)
-		sp, err := c.ScenarioSpec()
+		sp, err := parse(t, tc.args...).ScenarioSpec()
 		if err != nil {
 			t.Fatalf("%v: %v", tc.args, err)
 		}
-		if sp.Name != tc.name {
-			t.Errorf("%v: scenario %q, want %q", tc.args, sp.Name, tc.name)
-		}
-		if got := c.Scale(); got != tc.scale {
-			t.Errorf("%v: scale %v, want %v", tc.args, got, tc.scale)
+		if sp.Hash() != tc.want.Hash() {
+			t.Errorf("%v: resolved %q (%s), want %q (%s)", tc.args, sp.Name, sp.Hash(), tc.want.Name, tc.want.Hash())
 		}
 	}
 }
@@ -101,9 +97,9 @@ func TestChaosSettingsFallback(t *testing.T) {
 	}
 }
 
-func TestInjectorFromSpecRejectsBadProfile(t *testing.T) {
+func TestChaosInjectorRejectsBadProfile(t *testing.T) {
 	c := parse(t, "-chaos", "apocalyptic")
-	if _, err := c.InjectorFromSpec(scenario.Default()); err == nil {
+	if _, err := c.ChaosInjector(scenario.Default()); err == nil {
 		t.Fatal("unknown chaos profile accepted")
 	}
 }
@@ -114,11 +110,11 @@ func TestPipelineCarriesScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Scenario().Name != "meta-cdn" {
-		t.Errorf("pipeline scenario %q, want meta-cdn", p.Scenario().Name)
+	if p.Spec.Name != "meta-cdn" {
+		t.Errorf("pipeline scenario %q, want meta-cdn", p.Spec.Name)
 	}
-	if p.Scale != offnetrisk.ScaleTiny {
-		t.Errorf("pipeline scale %v, want tiny", p.Scale)
+	if got, want := p.Spec.Topology, scenario.MustLookup("tiny").Topology; got != want {
+		t.Errorf("pipeline topology %+v, want tiny's %+v", got, want)
 	}
 	if p.Workers != 3 {
 		t.Errorf("pipeline workers %d, want 3", p.Workers)

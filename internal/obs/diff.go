@@ -7,7 +7,7 @@ import (
 )
 
 // Manifest comparison: the engine behind cmd/runsdiff and the CI golden-run
-// gate. Two manifests from the same (tool, seed, scale) must agree on every
+// gate. Two manifests from the same (tool, seed, scenario) must agree on every
 // deterministic quantity — counters, histogram counts and buckets, funnel
 // accounting, root stage names — and may differ on run-varying ones (wall
 // times, allocations, Go version, gauges written last-write-wins from
@@ -79,9 +79,6 @@ func CompareManifests(a, b *Manifest, opts DiffOptions) *DiffResult {
 	}
 	if a.Seed != b.Seed {
 		r.driftf("seed: %d vs %d", a.Seed, b.Seed)
-	}
-	if a.Scale != b.Scale {
-		r.driftf("scale: %q vs %q", a.Scale, b.Scale)
 	}
 	if a.Scenario != b.Scenario {
 		r.driftf("scenario: %q vs %q", a.Scenario, b.Scenario)

@@ -9,7 +9,7 @@ import (
 // registry involvement, so diff tests are order-independent.
 func testManifest() *Manifest {
 	return &Manifest{
-		Tool: "reproduce", Seed: 42, Scale: "tiny",
+		Tool: "reproduce", Seed: 42, Scenario: "default", ScenarioHash: "d1",
 		GoVersion: "go1.22.0", GOOS: "linux", GOARCH: "amd64",
 		WallMS: 1000,
 		Stages: []SpanSnapshot{
@@ -126,6 +126,7 @@ func TestCompareManifestsMissingSeries(t *testing.T) {
 func TestCompareManifestsSeedAndStageDrift(t *testing.T) {
 	b := testManifest()
 	b.Seed = 43
+	b.ScenarioHash = "d2"
 	b.Stages = []SpanSnapshot{
 		{Name: "table1", DurMS: 200, Ended: true},
 		{Name: "capacity", DurMS: 700, Ended: true},
@@ -133,6 +134,9 @@ func TestCompareManifestsSeedAndStageDrift(t *testing.T) {
 	r := CompareManifests(testManifest(), b, DiffOptions{})
 	if !hasEntry(r.Drift, "seed: 42 vs 43") {
 		t.Fatalf("seed mismatch not drift: %v", r.Drift)
+	}
+	if !hasEntry(r.Drift, `scenario hash: "d1" vs "d2"`) {
+		t.Fatalf("scenario hash mismatch not drift: %v", r.Drift)
 	}
 	if !hasEntry(r.Drift, `stage[1]: "colocation" vs "capacity"`) {
 		t.Fatalf("stage rename not drift: %v", r.Drift)

@@ -136,7 +136,7 @@ func TestManifestIncludesFunnels(t *testing.T) {
 	f.Out(2)
 	f.Drop("gone", 1)
 
-	m := BuildManifest("test", 1, "tiny", NewTracer(), time.Time{})
+	m := BuildManifest("test", 1, NewTracer(), time.Time{})
 	var got *FunnelSnapshot
 	for i := range m.Funnels {
 		if m.Funnels[i].Name == "test.manifest_funnel" {

@@ -228,7 +228,7 @@ func TestLineageManifestDiff(t *testing.T) {
 // leaves the fields empty (so lineage-off manifests stay golden-identical).
 func TestLineageManifestBuild(t *testing.T) {
 	SetLineage(nil)
-	m := BuildManifest("test", 42, "tiny", NewTracer(), time.Now())
+	m := BuildManifest("test", 42, NewTracer(), time.Now())
 	if m.LineageDigest != "" || m.Lineage != nil {
 		t.Fatalf("lineage-off manifest carries lineage fields: %q %v", m.LineageDigest, m.Lineage)
 	}
@@ -237,7 +237,7 @@ func TestLineageManifestBuild(t *testing.T) {
 	r.CountKept("s", 1)
 	SetLineage(r)
 	defer SetLineage(nil)
-	m = BuildManifest("test", 42, "tiny", NewTracer(), time.Now())
+	m = BuildManifest("test", 42, NewTracer(), time.Now())
 	if m.LineageDigest != r.Digest() || len(m.Lineage) != 1 {
 		t.Fatalf("lineage-on manifest missing lineage: %q %v", m.LineageDigest, m.Lineage)
 	}

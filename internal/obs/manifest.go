@@ -15,17 +15,15 @@ import (
 type Manifest struct {
 	Tool      string `json:"tool"`
 	Seed      int64  `json:"seed"`
-	Scale     string `json:"scale"`
 	GoVersion string `json:"go_version"`
 	GOOS      string `json:"goos"`
 	GOARCH    string `json:"goarch"`
-	// Scenario provenance (internal/scenario): the resolved scenario name and
-	// the SHA-256 of its canonical spec rendering, so a manifest pins exactly
-	// which declared world produced it. Both omitted when the run did not pass
-	// -scenario, keeping plain-run manifests byte-identical to pre-scenario
-	// ones.
-	Scenario     string `json:"scenario,omitempty"`
-	ScenarioHash string `json:"scenario_hash,omitempty"`
+	// Scenario provenance (internal/scenario): the name of the spec the run
+	// built and the SHA-256 of its canonical rendering, topology and
+	// scale-bound campaign sizes included, so a manifest pins exactly which
+	// declared world produced it.
+	Scenario     string `json:"scenario"`
+	ScenarioHash string `json:"scenario_hash"`
 	// Snapshot is the world-snapshot file the run spilled to or streamed
 	// from (-snapshot); omitted when the world was synthesized in memory,
 	// keeping snapshot-free manifests byte-identical to earlier ones.
@@ -71,11 +69,10 @@ type Manifest struct {
 // BuildManifest assembles a manifest from a finished (or in-flight) tracer
 // and the Default metrics registry. start anchors stage offsets and WallMS;
 // pass the time the run began.
-func BuildManifest(tool string, seed int64, scale string, tr *Tracer, start time.Time) *Manifest {
+func BuildManifest(tool string, seed int64, tr *Tracer, start time.Time) *Manifest {
 	m := &Manifest{
 		Tool:      tool,
 		Seed:      seed,
-		Scale:     scale,
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
 		GOARCH:    runtime.GOARCH,
@@ -113,7 +110,9 @@ func (m *Manifest) WriteFile(path string) error {
 	return nil
 }
 
-// ReadManifest loads a manifest written by WriteFile.
+// ReadManifest loads a manifest written by WriteFile. Fields it does not
+// know are ignored, so manifests from older builds still load; a document
+// that is not JSON, or names no tool, is an error.
 func ReadManifest(path string) (*Manifest, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -122,6 +121,9 @@ func ReadManifest(path string) (*Manifest, error) {
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("obs: parse manifest %s: %w", path, err)
+	}
+	if m.Tool == "" {
+		return nil, fmt.Errorf("obs: parse manifest %s: no tool named; not a run manifest", path)
 	}
 	return &m, nil
 }

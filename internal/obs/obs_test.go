@@ -165,8 +165,8 @@ func TestManifestRoundTrip(t *testing.T) {
 	root.End()
 	NewCounter("test.manifest_counted", "").Add(7)
 
-	m := BuildManifest("reproduce", 42, "tiny", tr, start)
-	if m.GoVersion == "" || m.Seed != 42 || m.Scale != "tiny" {
+	m := BuildManifest("reproduce", 42, tr, start)
+	if m.GoVersion == "" || m.Seed != 42 {
 		t.Fatalf("bad provenance: %+v", m)
 	}
 	if m.StageCount() != 2 {

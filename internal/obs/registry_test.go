@@ -66,7 +66,7 @@ func TestSnapshotIncludesHelp(t *testing.T) {
 	// Help travels into the manifest (and from there into runsdiff output).
 	mc := NewCounter("test.manifest_help", "documented in the manifest")
 	mc.Inc()
-	m := BuildManifest("test", 1, "tiny", NewTracer(), time.Time{})
+	m := BuildManifest("test", 1, NewTracer(), time.Time{})
 	if m.Metrics["test.manifest_help"].Help != "documented in the manifest" {
 		t.Fatalf("manifest lost help: %+v", m.Metrics["test.manifest_help"])
 	}

@@ -1,7 +1,7 @@
 // Package report scores a full reproduction run against the paper's
 // reported shapes: each check encodes one claim from a table, figure, or
 // section as an acceptance band, and the package renders a verdict table.
-// cmd/reproduce appends this table to REPORT.md, so any seed/scale run
+// cmd/reproduce appends this table to REPORT.md, so any seed/scenario run
 // self-assesses against the paper.
 package report
 

@@ -3,7 +3,9 @@ package scenario
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
@@ -79,6 +81,7 @@ type measurementPatch struct {
 	RDNSGeoHint          *float64 `json:"rdns_geo_hint"`
 	RDNSStale            *float64 `json:"rdns_stale"`
 	SessionsPerISP       *int     `json:"sessions_per_isp"`
+	MappingSample        *int     `json:"mapping_sample"`
 }
 
 type chaosPatch struct {
@@ -90,16 +93,9 @@ type chaosPatch struct {
 // and validates the result. Unknown keys anywhere in the document and spec
 // versions other than the one this build reads are errors.
 func Parse(data []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var patch specPatch
-	if err := dec.Decode(&patch); err != nil {
+	if err := decodeStrict(data, &patch); err != nil {
 		return nil, fmt.Errorf("scenario: parse spec: %w", err)
-	}
-	// A spec file is one document; trailing garbage means the file is not
-	// what the author thinks it is.
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: parse spec: trailing data after the spec document")
 	}
 	if patch.Version == nil {
 		return nil, fmt.Errorf("scenario: spec is missing required field \"version\" (this build reads version %d)", Version)
@@ -122,6 +118,21 @@ func Parse(data []byte) (*Spec, error) {
 		return nil, err
 	}
 	return sp, nil
+}
+
+// decodeStrict decodes exactly one JSON document into v, rejecting unknown
+// keys and anything but whitespace after the document: a file with trailing
+// data — even a stray closing bracket — is not what its author thinks it is.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the document")
+	}
+	return nil
 }
 
 // applyPatch overlays every stated field of the patch onto a copy of base.
@@ -186,6 +197,7 @@ func applyPatch(base *Spec, patch *specPatch) *Spec {
 		setFloat(&sp.Measurement.RDNSGeoHint, m.RDNSGeoHint)
 		setFloat(&sp.Measurement.RDNSStale, m.RDNSStale)
 		setInt(&sp.Measurement.SessionsPerISP, m.SessionsPerISP)
+		setInt(&sp.Measurement.MappingSample, m.MappingSample)
 	}
 	if c := patch.Chaos; c != nil {
 		if c.Profile != nil {

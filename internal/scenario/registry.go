@@ -12,10 +12,10 @@ import (
 // carries a default of its own, and none repairs a zero or out-of-range
 // field. Outside input is checked once, by Spec.Validate.
 //
-// `default` is the paper's world; `tiny` and `large` are its topology
-// variants (the worlds behind -tiny/-large); `huge` is the sharded scale
-// tier; the rest are named worlds grounded in related work (see
-// PAPERS.md).
+// `default` is the paper's world; `tiny` and `large` are its scale
+// variants (the topologies and scale-bound campaign sizes behind
+// -tiny/-large, see Spec.AtScale); `huge` is the sharded scale tier; the
+// rest are named worlds grounded in related work (see PAPERS.md).
 //
 // Registry entries are constructed once and handed out as deep copies, so
 // callers can edit a resolved spec without corrupting the registry.
@@ -99,14 +99,14 @@ func defaultSpec() *Spec {
 		},
 		// Measurement campaigns at the paper's scale knobs: 8 probes per
 		// (site, target) and a 100-site usability gate (Appendix A), 112
-		// cloud traceroute VMs (§4.2.1), and sparse reverse-DNS coverage
-		// (§3.2).
+		// cloud traceroute VMs (§4.2.1), sparse reverse-DNS coverage and a
+		// 3-prefix-per-ISP ECS mapping sample (§3.2).
 		Measurement: Measurement{
 			PingSites: 163, PingProbes: 8, ProbeLoss: 0.01, MinSites: 100,
 			TracerouteVMs: 112, TargetsPerISP: 4, SilentRouterFraction: 0.15,
 			ScanBackgroundPerISP: 2.5, ScanOnnetPerHG: 20,
 			RDNSCoverage: 0.45, RDNSGeoHint: 0.55, RDNSStale: 0.01,
-			SessionsPerISP: 40,
+			SessionsPerISP: 40, MappingSample: 3,
 		},
 		Chaos: Chaos{Profile: "off", Seed: 7},
 	}
@@ -125,6 +125,11 @@ func registry() map[string]*Spec {
 		AccessISPs: 60, TransitISPs: 10, Backbones: 3, IXPs: 8,
 		TotalUsers: 2.0e8, ZipfExponent: 1.0, UsersPerSlash24: 8000,
 	}
+	// Campaign sizes bound to the topology (Spec.AtScale carries them with
+	// it): 24 traceroute VMs keep the survey fast while coverage stays
+	// dense, and the mapping study samples 6 prefixes per ISP.
+	tiny.Measurement.TracerouteVMs = 24
+	tiny.Measurement.MappingSample = 6
 	specs[tiny.Name] = tiny
 
 	huge := defaultSpec()
@@ -144,6 +149,7 @@ func registry() map[string]*Spec {
 		AccessISPs: 2400, TransitISPs: 96, Backbones: 10, IXPs: 60,
 		TotalUsers: 4.2e9, ZipfExponent: 1.05, UsersPerSlash24: 8000,
 	}
+	large.Measurement.MappingSample = 6
 	specs[large.Name] = large
 
 	// "Open Connect Everywhere" (Böttger et al.): Netflix pushes OCAs deep

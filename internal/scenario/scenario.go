@@ -127,6 +127,8 @@ type Measurement struct {
 	RDNSStale    float64 `json:"rdns_stale"`
 	// Session-level QoE simulation (§3.3).
 	SessionsPerISP int `json:"sessions_per_isp"`
+	// Calder-2013 ECS mapping study (§3.2): client /24s sampled per ISP.
+	MappingSample int `json:"mapping_sample"`
 }
 
 // Chaos declares the fault-injection profile the scenario runs under.
@@ -147,13 +149,18 @@ func (s *Spec) Mix() traffic.Mix {
 	return m
 }
 
-// WithTopologyOf returns a copy of s whose topology is the named registry
-// scenario's: the world s describes, built at that scenario's scale. It is
-// how -tiny/-large runs and the tiny-world sensitivity sweeps resolve a
+// AtScale returns a copy of s built at the named registry scenario's scale:
+// that scenario's topology plus the campaign sizes bound to it (traceroute
+// VMs and the mapping sample). Everything else — deployments, traffic, the
+// remaining measurement parameters, chaos, the name — stays s's. It is how
+// -tiny/-large runs and the tiny-world sensitivity sweeps resolve a
 // scenario's world. It panics on a name the registry lacks.
-func (s *Spec) WithTopologyOf(name string) *Spec {
+func (s *Spec) AtScale(name string) *Spec {
+	donor := MustLookup(name)
 	c := s.Clone()
-	c.Topology = MustLookup(name).Topology
+	c.Topology = donor.Topology
+	c.Measurement.TracerouteVMs = donor.Measurement.TracerouteVMs
+	c.Measurement.MappingSample = donor.Measurement.MappingSample
 	return c
 }
 
@@ -286,6 +293,9 @@ func (s *Spec) Validate() error {
 	if m.TracerouteVMs < 1 || m.TargetsPerISP < 1 {
 		return bad("measurement traceroute parameters must be >= 1 (vms %d, targets %d)",
 			m.TracerouteVMs, m.TargetsPerISP)
+	}
+	if m.MappingSample < 1 {
+		return bad("measurement.mapping_sample must be >= 1, got %d", m.MappingSample)
 	}
 	if m.SilentRouterFraction < 0 || m.SilentRouterFraction >= 1 {
 		return bad("measurement.silent_router_fraction must be in [0,1), got %g", m.SilentRouterFraction)

@@ -169,6 +169,12 @@ func TestParseRejectsTrailingData(t *testing.T) {
 	if _, err := Parse([]byte(`{"version": 1} {"version": 1}`)); err == nil {
 		t.Error("trailing document accepted")
 	}
+	// A stray closing bracket is trailing data too, not the end of input.
+	for _, doc := range []string{`{"version": 1}}`, `{"version": 1}]`} {
+		if _, err := Parse([]byte(doc)); err == nil {
+			t.Errorf("%s accepted", doc)
+		}
+	}
 }
 
 func TestParseRejectsUnknownBase(t *testing.T) {

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -102,14 +100,9 @@ func validLayer(l string) bool {
 // build reads, out-of-range values, and overlapping same-target windows are
 // errors.
 func ParseSchedule(data []byte) (*Schedule, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var s Schedule
-	if err := dec.Decode(&s); err != nil {
+	if err := decodeStrict(data, &s); err != nil {
 		return nil, fmt.Errorf("scenario: parse schedule: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("scenario: parse schedule: trailing data after the schedule document")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

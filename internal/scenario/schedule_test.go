@@ -64,6 +64,7 @@ func TestParseScheduleRejects(t *testing.T) {
 		{"missing version", `{"name": "x", "events": []}`, "version 0"},
 		{"missing name", `{"version": 1, "events": []}`, "missing name"},
 		{"trailing data", `{"version": 1, "name": "x", "events": []}{"more": true}`, "trailing data"},
+		{"stray closing brace", `{"version": 1, "name": "x", "events": []}}`, "trailing data"},
 		{"no action", `{"version": 1, "name": "x", "events": [{"at_hours": 1}]}`, "no action"},
 		{"two actions", `{"version": 1, "name": "x", "events": [{"at_hours": 1, "demand_step": {"multiplier": 2}, "facility_failure": {"facility": 3}}]}`, "2 actions"},
 		{"negative timestamp", `{"version": 1, "name": "x", "events": [{"at_hours": -1, "isolation": {"enabled": true}}]}`, "at_hours"},

@@ -113,7 +113,7 @@ func deploy(sp *scenario.Spec, cfg hypergiant.DeployConfig) (*hypergiant.Deploym
 // propensity changed.
 func ColocationPropensity(ctx context.Context, sp *scenario.Spec, seed int64, values []float64) (Result, error) {
 	res := Result{Name: "colocation-propensity", Param: "propensity"}
-	sp = sp.WithTopologyOf("tiny")
+	sp = sp.AtScale("tiny")
 	tr := obs.NewTracer()
 	for _, v := range values {
 		point := Point{Param: v}
@@ -169,7 +169,7 @@ func ColocationPropensity(ctx context.Context, sp *scenario.Spec, seed int64, va
 // facility at every point.
 func SharedHeadroom(ctx context.Context, sp *scenario.Spec, seed int64, values []float64) (Result, error) {
 	res := Result{Name: "shared-headroom", Param: "headroom"}
-	sp = sp.WithTopologyOf("tiny")
+	sp = sp.AtScale("tiny")
 	d, err := deploy(sp, hypergiant.DeployConfigFromScenario(sp, seed))
 	if err != nil {
 		return res, fmt.Errorf("sweep: headroom: %w", err)
@@ -219,7 +219,7 @@ func SharedHeadroom(ctx context.Context, sp *scenario.Spec, seed int64, values [
 // observation. It replays Netflix's spike over sp's world at tiny topology.
 func DemandSpike(ctx context.Context, sp *scenario.Spec, seed int64, values []float64) (Result, error) {
 	res := Result{Name: "demand-spike", Param: "multiplier"}
-	sp = sp.WithTopologyOf("tiny")
+	sp = sp.AtScale("tiny")
 	d, err := deploy(sp, hypergiant.DeployConfigFromScenario(sp, seed))
 	if err != nil {
 		return res, fmt.Errorf("sweep: demand spike: %w", err)

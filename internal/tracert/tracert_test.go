@@ -17,8 +17,7 @@ func surveyTiny(t *testing.T, seed int64) (*hypergiant.Deployment, map[inet.ASN]
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ConfigFromScenario(scenario.Default(), seed)
-	cfg.VMs = 24 // keep the tiny survey fast; coverage is still dense
+	cfg := ConfigFromScenario(scenario.MustLookup("tiny"), seed)
 	traces, err := SurveyContext(context.Background(), d, traffic.Google, cfg)
 	if err != nil {
 		t.Fatal(err)

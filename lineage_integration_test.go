@@ -33,7 +33,7 @@ func lineageRun(t *testing.T, workers, shards int, profile string) (*obs.Lineage
 	lr := obs.NewLineageRecorder()
 	obs.SetLineage(lr)
 	defer obs.SetLineage(nil)
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	p.Workers = workers
 	p.Shards = shards
 	if profile != "" {
@@ -154,7 +154,7 @@ func TestLineageChaosDeterminism(t *testing.T) {
 func TestLineageOffTransparency(t *testing.T) {
 	obs.SetLineage(nil)
 	obs.Default.Reset()
-	plain := runAll(t, NewPipeline(42, ScaleTiny))
+	plain := runAll(t, tinyPipeline(42))
 	lr, withLineage, _ := lineageRun(t, 0, 0, "")
 	if plain != withLineage {
 		t.Fatal("enabling lineage changed experiment output")

@@ -48,10 +48,7 @@ func (p *Pipeline) mappingStudy(ctx context.Context) (*MappingResult, error) {
 		return nil, err
 	}
 	resolvers := steer.Resolvers(w, 8, p.Seed)
-	sample := 6
-	if p.Scale == ScaleDefault {
-		sample = 3
-	}
+	sample := p.Spec.Measurement.MappingSample
 	out := &MappingResult{}
 	sp := p.span("mapping-study/era-2013")
 	for _, r := range steer.MapUsers(d, steer.Modes2013(), resolvers, sample, p.Seed) {

@@ -61,9 +61,9 @@ func runAll(t *testing.T, p *Pipeline) string {
 // input order and every task derives its own RNG substream, so Workers
 // trades wall-clock time only.
 func TestInstrumentationDeterminism(t *testing.T) {
-	plain := runAll(t, NewPipeline(42, ScaleTiny))
+	plain := runAll(t, tinyPipeline(42))
 
-	instrumented := NewPipeline(42, ScaleTiny)
+	instrumented := tinyPipeline(42)
 	tr := obs.NewTracer()
 	instrumented.Instrument(tr)
 	traced := runAll(t, instrumented)
@@ -78,7 +78,7 @@ func TestInstrumentationDeterminism(t *testing.T) {
 	// Timeline recording (the -trace flag) is one more observability layer
 	// that must stay byte-transparent, at any worker count.
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		p := NewPipeline(42, ScaleTiny)
+		p := tinyPipeline(42)
 		p.Workers = workers
 		ttr := obs.NewTracer()
 		ttr.EnableTimeline()
@@ -92,7 +92,7 @@ func TestInstrumentationDeterminism(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		p := NewPipeline(42, ScaleTiny)
+		p := tinyPipeline(42)
 		p.Workers = workers
 		if got := runAll(t, p); got != plain {
 			t.Fatalf("Workers=%d diverged from the default run", workers)
@@ -105,7 +105,7 @@ func TestInstrumentationDeterminism(t *testing.T) {
 // worker counts, instrumented or not.
 func TestConformanceWorkerDeterminism(t *testing.T) {
 	render := func(workers int) string {
-		p := NewPipeline(42, ScaleTiny)
+		p := tinyPipeline(42)
 		p.Workers = workers
 		p.Instrument(obs.NewTracer())
 		suite, err := p.ConformanceContext(context.Background())
@@ -126,7 +126,7 @@ func TestConformanceWorkerDeterminism(t *testing.T) {
 // TestPipelineSpanCoverage checks that every experiment method records a root
 // span with at least one child stage when instrumented.
 func TestPipelineSpanCoverage(t *testing.T) {
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	tr := obs.NewTracer()
 	p.Instrument(tr)
 	runAll(t, p)

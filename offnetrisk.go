@@ -6,10 +6,10 @@
 // validation, cloud traceroute peering inference), and the capacity /
 // cascade models behind its risk argument.
 //
-// The entry point is Pipeline: configure a world size and a seed, then run
+// The entry point is Pipeline: pick a resolved scenario and a seed, then run
 // the experiment corresponding to each table and figure of the paper.
 //
-//	p := offnetrisk.NewPipeline(42, offnetrisk.ScaleDefault)
+//	p := offnetrisk.NewPipeline(scenario.Default(), 42)
 //	t1, err := p.Table1Context(ctx)                           // §2.2, Table 1
 //	col, err := p.ColocationContext(ctx)                      // §3.2, Table 2 + Figures 1–2
 //	ps, err := p.PeeringSurveyForContext(ctx, traffic.Google) // §4.2.1
@@ -38,25 +38,12 @@ import (
 var mSnapshotLoads = obs.NewLazyCounter("world.snapshot_loads",
 	"worlds streamed from a binary snapshot instead of re-synthesized")
 
-// Scale selects how large a synthetic Internet the pipeline builds.
-type Scale int
-
-// Scales. ScaleTiny runs in well under a second and is meant for tests;
-// ScaleDefault approximates the structural ratios of the paper's datasets
-// and runs in seconds.
-const (
-	ScaleTiny Scale = iota
-	ScaleDefault
-	ScaleLarge
-)
-
 // Pipeline owns a seeded reproduction run. Worlds and deployments are built
 // lazily, once per epoch, and every experiment's result is computed once
 // per run and shared (see cached). Set the exported fields before the first
 // experiment and leave them alone after: neither cache looks at them again.
 type Pipeline struct {
-	Seed  int64
-	Scale Scale
+	Seed int64
 
 	// Workers bounds the worker pools behind every parallel experiment
 	// stage (ping campaign, OPTICS clustering, peering survey, scenario
@@ -90,12 +77,11 @@ type Pipeline struct {
 	// drift contract.
 	SnapshotPath string
 
-	// Spec is the resolved scenario the pipeline builds its world from; nil
-	// means the registry's default scenario (the paper's hard-coded world).
-	// At ScaleTiny/ScaleLarge the spec's topology section is overridden by
-	// the registry's tiny/large topology (Scale.WorldSpec), so `-scenario X -tiny` means
-	// "scenario X's deployments, traffic and measurements at test scale" —
-	// the combination the golden-gated scenario matrix runs.
+	// Spec is the resolved scenario the run builds: it alone selects the
+	// world and every campaign size. `-scenario X -tiny` resolves to
+	// X.AtScale("tiny") — scenario X's deployments, traffic and
+	// measurements at test scale, the combination the golden-gated
+	// scenario matrix runs.
 	Spec *scenario.Spec
 
 	// tracer records per-stage spans when instrumentation is attached via
@@ -112,39 +98,18 @@ type Pipeline struct {
 	results map[string]*flight
 }
 
-// NewPipeline creates a pipeline for the given seed and scale, running the
-// default scenario.
-func NewPipeline(seed int64, scale Scale) *Pipeline {
+// NewPipeline creates a pipeline running the resolved scenario sp (for
+// example scenario.MustLookup("tiny") or scenario.Default()) at the given
+// seed.
+func NewPipeline(sp *scenario.Spec, seed int64) *Pipeline {
 	return &Pipeline{
 		Seed:    seed,
-		Scale:   scale,
+		Spec:    sp,
 		worlds:  make(map[hypergiant.Epoch]*inet.World),
 		deps:    make(map[hypergiant.Epoch]*hypergiant.Deployment),
 		results: make(map[string]*flight),
 	}
 }
-
-// NewPipelineFromSpec creates a pipeline running a resolved scenario at
-// ScaleDefault (the spec's own topology). Combine with Scale overrides via
-// the struct field if test-scale runs of the scenario are wanted.
-func NewPipelineFromSpec(sp *scenario.Spec, seed int64) *Pipeline {
-	p := NewPipeline(seed, ScaleDefault)
-	p.Spec = sp
-	return p
-}
-
-// spec returns the pipeline's scenario, defaulting to the registry's
-// default world.
-func (p *Pipeline) spec() *scenario.Spec {
-	if p.Spec != nil {
-		return p.Spec
-	}
-	return scenario.Default()
-}
-
-// Scenario exposes the resolved scenario the pipeline runs (never nil), so
-// commands that drive measurement stages directly share the same spec.
-func (p *Pipeline) Scenario() *scenario.Spec { return p.spec() }
 
 // Instrument attaches a span tracer; every experiment method then records a
 // root span over its internal stages, and the chaos injector (if any) gains
@@ -175,35 +140,9 @@ func (p *Pipeline) workers() int {
 	return par.Workers(p.Workers)
 }
 
-// String names the scale for logs and manifests. The tiny and large names
-// are also the registry scenarios whose topology WorldSpec substitutes.
-func (s Scale) String() string {
-	switch s {
-	case ScaleTiny:
-		return "tiny"
-	case ScaleLarge:
-		return "large"
-	default:
-		return "default"
-	}
-}
-
-// WorldSpec returns the spec whose topology a run of sp at this scale
-// builds: ScaleTiny and ScaleLarge substitute the registry's tiny/large
-// topology, so every scenario can run golden-gated at test scale, and
-// ScaleDefault keeps sp's own. Pipeline and the commands that generate a
-// world directly both resolve their world through it.
-func (s Scale) WorldSpec(sp *scenario.Spec) *scenario.Spec {
-	if s == ScaleDefault {
-		return sp
-	}
-	return sp.WithTopologyOf(s.String())
-}
-
-// worldConfig resolves the world config of the pipeline's scenario at its
-// scale.
+// worldConfig resolves the world config of the pipeline's scenario.
 func (p *Pipeline) worldConfig() inet.Config {
-	cfg := inet.ConfigFromScenario(p.Scale.WorldSpec(p.spec()), p.Seed)
+	cfg := inet.ConfigFromScenario(p.Spec, p.Seed)
 	// Parallelism knobs only — neither changes the world's bytes.
 	cfg.Shards = p.Shards
 	cfg.GenWorkers = p.Workers
@@ -213,7 +152,7 @@ func (p *Pipeline) worldConfig() inet.Config {
 // buildWorld synthesizes (or, with SnapshotPath set, streams back) one
 // fresh world for an epoch.
 func (p *Pipeline) buildWorld() (*inet.World, error) {
-	w, fromDisk, err := inet.LoadOrGenerate(p.SnapshotPath, p.worldConfig(), p.spec().Hash())
+	w, fromDisk, err := inet.LoadOrGenerate(p.SnapshotPath, p.worldConfig(), p.Spec.Hash())
 	if err != nil {
 		return nil, fmt.Errorf("offnetrisk: build world: %w", err)
 	}
@@ -238,7 +177,7 @@ func (p *Pipeline) deployment(epoch hypergiant.Epoch) (*inet.World, *hypergiant.
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := hypergiant.Deploy(w, epoch, hypergiant.DeployConfigFromScenario(p.spec(), p.Seed))
+	d, err := hypergiant.Deploy(w, epoch, hypergiant.DeployConfigFromScenario(p.Spec, p.Seed))
 	if err != nil {
 		return nil, nil, fmt.Errorf("offnetrisk: deploy epoch %d: %w", epoch, err)
 	}

@@ -5,10 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"offnetrisk/internal/scenario"
 	"offnetrisk/internal/traffic"
 )
 
-func tinyPipeline(seed int64) *Pipeline { return NewPipeline(seed, ScaleTiny) }
+func tinyPipeline(seed int64) *Pipeline { return NewPipeline(scenario.MustLookup("tiny"), seed) }
 
 func TestPipelineTable1(t *testing.T) {
 	p := tinyPipeline(1)

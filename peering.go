@@ -63,12 +63,9 @@ func (p *Pipeline) peeringSurvey(ctx context.Context, hg traffic.HG) (*PeeringSu
 	if err != nil {
 		return nil, err
 	}
-	cfg := tracert.ConfigFromScenario(p.spec(), p.Seed)
+	cfg := tracert.ConfigFromScenario(p.Spec, p.Seed)
 	cfg.Workers = p.Workers
 	cfg.Chaos = p.Chaos
-	if p.Scale == ScaleTiny {
-		cfg.VMs = 24
-	}
 	sctx, sp := p.spanCtx(ctx, "peering-survey/traceroutes")
 	traces, err := tracert.SurveyContext(sctx, d, hg, cfg)
 	if err != nil {

@@ -17,7 +17,7 @@ func TestShapeInvariantsAcrossSeeds(t *testing.T) {
 	for _, seed := range []int64{11, 23, 37, 51} {
 		seed := seed
 		t.Run(fmtSeed(seed), func(t *testing.T) {
-			p := NewPipeline(seed, ScaleTiny)
+			p := tinyPipeline(seed)
 
 			// Table 1: growth ordering Netflix > Google > Meta > Akamai=0.
 			t1, err := p.Table1Context(context.Background())

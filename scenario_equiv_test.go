@@ -5,18 +5,34 @@ import (
 	"testing"
 
 	"offnetrisk/internal/scenario"
+	"offnetrisk/internal/tracert"
 )
 
-// TestDefaultScenarioPipelineByteIdentical: a pipeline explicitly running
-// the default scenario renders every experiment byte-identically to a plain
-// NewPipeline — spec plumbing adds no drift.
-func TestDefaultScenarioPipelineByteIdentical(t *testing.T) {
-	plain := runAll(t, NewPipeline(42, ScaleTiny))
+// TestTinyIsDefaultAtTinyScale: the registry's tiny scenario and the
+// default scenario at tiny scale (what a plain -tiny run builds) render
+// every experiment byte-identically — the spec alone selects the world and
+// the campaign sizes, so there is one tiny run, not two.
+func TestTinyIsDefaultAtTinyScale(t *testing.T) {
+	named := runAll(t, NewPipeline(scenario.MustLookup("tiny"), 42))
+	if got := runAll(t, NewPipeline(scenario.Default().AtScale("tiny"), 42)); got != named {
+		t.Fatal("default-at-tiny pipeline diverged from the tiny scenario")
+	}
+}
 
-	spec := NewPipelineFromSpec(scenario.Default(), 42)
-	spec.Scale = ScaleTiny
-	if got := runAll(t, spec); got != plain {
-		t.Fatal("default-scenario pipeline diverged from plain pipeline")
+// TestLargeIsDefaultAtLargeScale is the config-level twin for the large
+// tier (too big to build in a unit test): the large scenario and the
+// default scenario at large scale resolve to the same world and the same
+// traceroute and mapping campaign sizes.
+func TestLargeIsDefaultAtLargeScale(t *testing.T) {
+	named, scaled := scenario.MustLookup("large"), scenario.Default().AtScale("large")
+	if named.Topology != scaled.Topology {
+		t.Errorf("topology %+v, want %+v", scaled.Topology, named.Topology)
+	}
+	if got, want := tracert.ConfigFromScenario(scaled, 42), tracert.ConfigFromScenario(named, 42); got != want {
+		t.Errorf("traceroute config %+v, want %+v", got, want)
+	}
+	if got, want := scaled.Measurement.MappingSample, named.Measurement.MappingSample; got != want {
+		t.Errorf("mapping sample %d, want %d", got, want)
 	}
 }
 
@@ -29,8 +45,7 @@ func TestScenarioWorkerDeterminism(t *testing.T) {
 			t.Parallel()
 			sp := scenario.MustLookup(name)
 			render := func(workers int) string {
-				p := NewPipelineFromSpec(sp, 42)
-				p.Scale = ScaleTiny
+				p := NewPipeline(sp.AtScale("tiny"), 42)
 				p.Workers = workers
 				return runAll(t, p)
 			}

@@ -62,12 +62,12 @@ func (p *Pipeline) table1(ctx context.Context) (*Table1Result, error) {
 		return nil, err
 	}
 	sp := p.span("table1/tls-scan")
-	recs21, err := scan.Simulate(d21, scan.ConfigFromScenario(p.spec(), p.Seed))
+	recs21, err := scan.Simulate(d21, scan.ConfigFromScenario(p.Spec, p.Seed))
 	if err != nil {
 		sp.End()
 		return nil, err
 	}
-	recs23, err := scan.Simulate(d23, scan.ConfigFromScenario(p.spec(), p.Seed))
+	recs23, err := scan.Simulate(d23, scan.ConfigFromScenario(p.Spec, p.Seed))
 	if err != nil {
 		sp.End()
 		return nil, err

@@ -33,7 +33,7 @@ func flashCrowdSchedule(t *testing.T) *scenario.Schedule {
 func temporalRun(t *testing.T, workers, shards int, profile string, sched *scenario.Schedule) *temporal.Trajectory {
 	t.Helper()
 	obs.Default.Reset()
-	p := NewPipeline(42, ScaleTiny)
+	p := tinyPipeline(42)
 	p.Workers = workers
 	p.Shards = shards
 	if profile != "" {

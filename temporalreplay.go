@@ -12,7 +12,7 @@ import (
 // 2023 deployment: hours of shared clock, the scenario-calibrated capacity
 // model, and an optional event schedule (nil = diurnal steady state). The
 // optional sink receives every trajectory event live on the -events stream.
-// The trajectory — and therefore its digest — depends only on (seed, scale,
+// The trajectory — and therefore its digest — depends only on (seed,
 // scenario, hours, schedule): workers, shards and chaos never reach the
 // engine.
 func (p *Pipeline) TemporalReplayContext(ctx context.Context, hours int, sched *scenario.Schedule, sink *obs.EventSink) (*temporal.Trajectory, error) {
